@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .odeint import IntegratorSettings, Trajectory, integrate, integrate_projected
+from .odeint import IntegratorSettings, Trajectory, integrate
 
 _CHECK_SEED = 20260810
 _ASSUMPTION_TOL = 1e-7
@@ -339,15 +339,7 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
     vals = f.eval_grid(x, t, sigma, taus)
     if f.jac is not None:
         return vals, f.jac_grid(x, t, sigma, taus)
-    h = _fd_step(x)
-    jac = np.empty((taus.size, f.dim, f.dim))
-    for j in range(f.dim):
-        e = np.zeros(f.dim)
-        e[j] = h
-        plus = f.eval_grid(x + e, t, sigma, taus)
-        minus = f.eval_grid(x - e, t, sigma, taus)
-        jac[:, :, j] = (plus - minus) / (2.0 * h)
-    return vals, jac
+    return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
 
 
 def _sigma_nodes(f1: TwoScaleField, f2: TwoScaleField, n_panels: int):
@@ -519,17 +511,15 @@ def simulate_two_scale(
     settings: IntegratorSettings = IntegratorSettings(),
     *,
     sample_dt: float = None,
-    rotation_blocks: Sequence[int] = None,
+    rotation_blocks: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate dx/dt = sqrt(w) f1 + f2 over [t0, t0 + tf] with anchored phases."""
-    rhs = _two_scale_rhs(sys, t0)
-    period = _fastest_period(sys.f1.T1, sys.f1.T2, sys.omega)
-    if rotation_blocks:
-        return integrate_projected(
-            rhs, x0, t0, t0 + tf, settings, rotation_blocks,
-            fastest_period=period, sample_dt=sample_dt,
-        )
-    return integrate(rhs, x0, t0, t0 + tf, settings, fastest_period=period, sample_dt=sample_dt)
+    return integrate(
+        _two_scale_rhs(sys, t0), x0, t0, t0 + tf, settings,
+        rotation_blocks=rotation_blocks,
+        fastest_period=_fastest_period(sys.f1.T1, sys.f1.T2, sys.omega),
+        sample_dt=sample_dt,
+    )
 
 
 def simulate_singular(
@@ -541,7 +531,7 @@ def simulate_singular(
     settings: IntegratorSettings = IntegratorSettings(),
     *,
     sample_dt: float = None,
-    rotation_blocks: Sequence[int] = None,
+    rotation_blocks: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate the coupled slow/fast system; state is [x, z] concatenated.
 
@@ -568,11 +558,10 @@ def simulate_singular(
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.atleast_1d(z0).astype(float)])
     period = _fastest_period(ssys.f1.T1, ssys.f1.T2, ssys.omega)
     dt = min(period / settings.steps_per_period, mu)
-    if rotation_blocks:
-        return integrate_projected(
-            rhs, y0, t0, t0 + tf, settings, rotation_blocks, dt=dt, sample_dt=sample_dt
-        )
-    return integrate(rhs, y0, t0, t0 + tf, settings, dt=dt, sample_dt=sample_dt)
+    return integrate(
+        rhs, y0, t0, t0 + tf, settings,
+        rotation_blocks=rotation_blocks, dt=dt, sample_dt=sample_dt,
+    )
 
 
 def simulate_averaged(
@@ -584,20 +573,18 @@ def simulate_averaged(
     *,
     sample_dt: float = None,
     dt: float = None,
-    rotation_blocks: Sequence[int] = None,
+    rotation_blocks: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate the averaged drift dx/dt = asys(x, t).
 
     Averaged fields are order-one by construction, so the default step is
     1 / steps_per_period time units.
     """
-    rhs = lambda t, x: asys(x, t)
     step = dt if dt is not None else 1.0 / settings.steps_per_period
-    if rotation_blocks:
-        return integrate_projected(
-            rhs, x0, t0, t0 + tf, settings, rotation_blocks, dt=step, sample_dt=sample_dt
-        )
-    return integrate(rhs, x0, t0, t0 + tf, settings, dt=step, sample_dt=sample_dt)
+    return integrate(
+        lambda t, x: asys(x, t), x0, t0, t0 + tf, settings,
+        rotation_blocks=rotation_blocks, dt=step, sample_dt=sample_dt,
+    )
 
 
 # ---------------------------------------------------------------------------

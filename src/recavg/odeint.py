@@ -2,8 +2,8 @@
 
 The step size is derived from the fastest forcing period so that the
 oscillatory right-hand sides produced by the averaging modules are always
-resolved. An optional projection pass renormalizes rotation-matrix blocks
-after every step.
+resolved. The single entry point, integrate, optionally renormalizes
+rotation-matrix blocks of the state after every step.
 """
 
 import math
@@ -27,13 +27,11 @@ class IntegratorSettings:
     """Fixed-step integrator configuration.
 
     steps_per_period: substeps per shortest forcing period (>= 16).
-    method: only "rk4" is implemented.
     projection: renormalize rotation blocks after every step.
     sample_stride: keep every k-th step in the output trajectory.
     """
 
     steps_per_period: int = 64
-    method: str = "rk4"
     projection: bool = True
     sample_stride: int = 1
 
@@ -42,8 +40,6 @@ class IntegratorSettings:
             raise ValueError("steps_per_period must be >= 16")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
     return horizon / n, n, sample_stride
 
 
-def _rk4_run(rhs, x0, t0, dt, n_steps, every, post_step=None):
+def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks=()):
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("state must be a flat vector")
@@ -110,8 +106,8 @@ def _rk4_run(rhs, x0, t0, dt, n_steps, every, post_step=None):
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         t_next = t0 + (k + 1) * dt
-        if post_step is not None:
-            x = post_step(x)
+        for start in projected_blocks:
+            x[start : start + 9] = project_so3(x[start : start + 9].reshape(3, 3)).ravel()
         if not np.all(np.isfinite(x)):
             raise DivergenceError(t_next)
         if (k + 1) % every == 0 or k + 1 == n_steps:
@@ -128,6 +124,7 @@ def integrate(
     tf: float,
     settings: IntegratorSettings,
     *,
+    rotation_blocks=(),
     fastest_period: float = None,
     dt: float = None,
     sample_dt: float = None,
@@ -136,52 +133,27 @@ def integrate(
 
     The nominal step is fastest_period / steps_per_period (or an explicit
     dt). Identical inputs produce bit-identical outputs.
-    """
-    nominal = _nominal_dt(fastest_period, dt, settings)
-    step, n_steps, every = _plan_steps(t0, tf, nominal, sample_dt, settings.sample_stride)
-    return _rk4_run(rhs, x0, t0, step, n_steps, every)
-
-
-def integrate_projected(
-    rhs,
-    x0,
-    t0: float,
-    tf: float,
-    settings: IntegratorSettings,
-    rotation_blocks,
-    *,
-    fastest_period: float = None,
-    dt: float = None,
-    sample_dt: float = None,
-) -> Trajectory:
-    """As integrate, reprojecting each 9-coordinate rotation block onto SO(3).
 
     rotation_blocks is a list of start offsets; block i occupies coordinates
-    [start, start + 9) holding a row-major rotation matrix. Projection is
-    applied after every step when settings.projection is set; otherwise the
-    blocks are left to drift and only validated at the initial state.
+    [start, start + 9) holding a row-major rotation matrix. Each block must
+    start near SO(3). When settings.projection is set, every block is
+    reprojected onto SO(3) after every step; otherwise the blocks drift.
     """
     x0 = np.asarray(x0, dtype=float)
     for start in rotation_blocks:
-        block = x0[start : start + 9].reshape(3, 3)
-        if so3_defect(block) > 0.5:
+        if so3_defect(x0[start : start + 9].reshape(3, 3)) > 0.5:
             raise ValueError(
                 f"initial rotation block at offset {start} is not near SO(3)"
             )
-
-    post = None
-    if settings.projection:
-
-        def post(x, _blocks=tuple(rotation_blocks)):
-            for start in _blocks:
-                x[start : start + 9] = project_so3(
-                    x[start : start + 9].reshape(3, 3)
-                ).ravel()
-            return x
-
+    projected = tuple(rotation_blocks) if settings.projection else ()
     nominal = _nominal_dt(fastest_period, dt, settings)
     step, n_steps, every = _plan_steps(t0, tf, nominal, sample_dt, settings.sample_stride)
-    return _rk4_run(rhs, x0, t0, step, n_steps, every, post_step=post)
+    return _rk4_run(rhs, x0, t0, step, n_steps, every, projected)
+
+
+def integrate_projected(rhs, x0, t0, tf, settings, rotation_blocks, **kwargs) -> Trajectory:
+    """integrate(..., rotation_blocks=rotation_blocks); kept for existing callers."""
+    return integrate(rhs, x0, t0, tf, settings, rotation_blocks=rotation_blocks, **kwargs)
 
 
 def _nominal_dt(fastest_period, dt, settings):

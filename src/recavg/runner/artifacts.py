@@ -7,7 +7,7 @@ written with 17 significant digits, which round-trips doubles exactly.
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = Tru
         csv_paths[rep] = path
         tables[rep] = rows
 
-    comparison_paths = {}
+    comparison_paths, comparisons = {}, {}
     reps = list(trajectories)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
@@ -143,6 +143,10 @@ def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = Tru
             path = os.path.join(out_dir, f"{scenario.name}_compare_{a}_vs_{b}.csv")
             write_csv(path, COMPARE_COLUMNS, rows)
             comparison_paths[f"{a}_vs_{b}"] = path
+            comparisons[f"{a}_vs_{b}"] = {
+                "sup_err_pos": float(err_pos.max()),
+                "sup_err_c": float(err_c.max()),
+            }
 
     summary = {
         "scenario": scenario.name,
@@ -150,7 +154,7 @@ def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = Tru
         "t_final": scenario.t_final,
         "sample_dt": scenario.sample_dt,
         "representations": {},
-        "comparisons": {},
+        "comparisons": comparisons,
         "files": {"csv": csv_paths, "comparison": comparison_paths},
     }
     for rep, traj in trajectories.items():
@@ -169,12 +173,6 @@ def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = Tru
                     for t, y in zip(traj.times, traj.states)
                 )
             ),
-        }
-    for key, path in comparison_paths.items():
-        _, data = read_csv(path)
-        summary["comparisons"][key] = {
-            "sup_err_pos": float(data[:, 1].max()),
-            "sup_err_c": float(data[:, 2].max()),
         }
     if scenario.field.kappa is not None:
         summary["gradient_inequality"] = check_gradient_inequality(

@@ -80,21 +80,11 @@ def build_parser():
     return parser
 
 
-def _cmd_simulate(args):
-    scenario = load_config(args.config)
-    out_dir = os.path.join(_out_root(args.out), scenario.name)
-    artifacts = run_scenario(scenario, out_dir)
-    print(f"wrote artifacts to {artifacts.run_dir}")
-    for rep, info in sorted(artifacts.summary["representations"].items()):
-        print(
-            f"  {rep}: final c = {info['final_c']:.6g}, "
-            f"final distance = {info['final_distance_to_source']:.6g}"
-        )
-    return EXIT_OK
-
-
-def _cmd_demo(args):
-    scenario = built_in(args.name)
+def _cmd_run(args):
+    if args.command == "demo":
+        scenario = built_in(args.name)
+    else:
+        scenario = load_config(args.config)
     out_dir = os.path.join(_out_root(args.out), scenario.name)
     artifacts = run_scenario(scenario, out_dir)
     print(f"wrote artifacts to {artifacts.run_dir}")
@@ -134,9 +124,11 @@ def _cmd_plot(args):
     from ..seek3d import signal_field
     from .svgplot import plot_artifacts
 
-    summaries = [
-        f for f in sorted(os.listdir(args.in_dir)) if f.endswith("_summary.json")
-    ]
+    try:
+        names = sorted(os.listdir(args.in_dir))
+    except OSError as exc:
+        raise ConfigError(f"cannot read run directory {args.in_dir}: {exc.strerror}") from exc
+    summaries = [f for f in names if f.endswith("_summary.json")]
     if not summaries:
         raise ConfigError(f"no run summary found in {args.in_dir}")
     with open(os.path.join(args.in_dir, summaries[0]), encoding="utf-8") as fh:
@@ -146,7 +138,12 @@ def _cmd_plot(args):
     for rep, path in summary["files"]["csv"].items():
         if not os.path.exists(path):
             path = os.path.join(args.in_dir, os.path.basename(path))
-        _, data = read_csv(path)
+        try:
+            _, data = read_csv(path)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read trajectory CSV for {rep!r} at {path}: {exc.strerror}"
+            ) from exc
         if data.size == 0:
             raise ConfigError(f"trajectory CSV for {rep!r} is empty")
         tables[rep] = data
@@ -161,8 +158,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "simulate": _cmd_simulate,
-        "demo": _cmd_demo,
+        "simulate": _cmd_run,
+        "demo": _cmd_run,
         "sweep": _cmd_sweep,
         "verify": _cmd_verify,
         "plot": _cmd_plot,

@@ -8,8 +8,7 @@ exactly in double precision.
 import json
 import math
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

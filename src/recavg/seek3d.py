@@ -22,8 +22,8 @@ import numpy as np
 
 from . import avgcore
 from .avgcore import QuadratureSettings, SingularField, SingularSystem
-from .geom3 import E1, E2, E3, as_mat3, as_vec3, hat, rot_exp, rot_z, so3_defect
-from .odeint import IntegratorSettings, Trajectory, integrate, integrate_projected
+from .geom3 import E1, E2, E3, as_mat3, as_vec3, hat, rot_exp, rot_z
+from .odeint import IntegratorSettings, Trajectory, integrate
 
 AVERAGED_GAIN = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]) / 4.0
 
@@ -108,17 +108,6 @@ class RigidState:
     p: np.ndarray
     R: np.ndarray
     z: float
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.p, self.R.ravel(), [self.z]])
-
-    @staticmethod
-    def unpack(y) -> "RigidState":
-        y = np.asarray(y, dtype=float)
-        return RigidState(p=y[0:3].copy(), R=y[3:12].reshape(3, 3).copy(), z=float(y[12]))
-
-    def so3_defect(self) -> float:
-        return so3_defect(self.R)
 
 
 # state layouts used by the flat integrators
@@ -263,35 +252,39 @@ def rora_rhs(p, Q, t, field: SignalField):
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
+_HAT_E3 = hat(E3)
+
+
 def _embedded_pieces(z: float, sigma: float, taus, alpha: float):
-    """f, L and their z-derivatives on a tau grid, all of shape (3, len(taus))."""
+    """f, d f/dz, L, d L/dz on a tau grid, all of shape (3, len(taus)).
+
+    f and L are transformed_rhs's vectors. The heading and the roll axis
+    turn about e3 at angle rates 1 and 2 in tau - z, so their z-derivatives
+    are -hat(e3) and -2 hat(e3) applied to them.
+    """
     R2 = roll_frame(sigma, alpha)
-    th = np.asarray(taus) - z
-    cos_t, sin_t = np.cos(th), np.sin(th)
-    zeros = np.zeros_like(cos_t)
-    rho = np.stack([cos_t, sin_t, zeros])
-    drho = np.stack([-sin_t, cos_t, zeros])  # d/d theta
-    cos2, sin2 = np.cos(2.0 * th), np.sin(2.0 * th)
-    w1 = np.stack([cos2 + sin2, sin2 - cos2, zeros])
-    dw1 = 2.0 * np.stack([cos2 - sin2, cos2 + sin2, zeros])
+    rho = _body_direction(z, taus)
+    axis = _roll_axis(z, taus)
     f = math.sqrt(2.0) * (R2 @ rho)
-    fz = -math.sqrt(2.0) * (R2 @ drho)  # d/dz = -d/dtheta
-    lam = alpha * (R2 @ w1)
-    lamz = -alpha * (R2 @ dw1)
+    fz = -math.sqrt(2.0) * (R2 @ (_HAT_E3 @ rho))
+    lam = alpha * (R2 @ axis)
+    lamz = -2.0 * alpha * (R2 @ (_HAT_E3 @ axis))
     return f, fz, lam, lamz
 
 
-def _embedded_values(x, z, sigma, taus, alpha):
+def _embedded_rows(x, f, lam):
+    """Embedded field rows, shape (m, 12), for f and L of shape (3, m).
+
+    The rows are linear in (f, L), so the same map applied to their
+    z-derivatives gives the z-Jacobian.
+    """
     q1, q2, q3 = x[3:6], x[6:9], x[9:12]
-    f, fz, lam, lamz = _embedded_pieces(z, sigma, taus, alpha)
-    m = np.asarray(taus).size
-    out = np.zeros((m, 12))
-    qcols = np.stack([q1, q2, q3])  # (3, 3): row i is q_{i+1}
-    out[:, 0:3] = f.T @ qcols
+    out = np.empty((f.shape[1], 12))
+    out[:, 0:3] = f.T @ np.stack([q1, q2, q3])  # row i of the stack is q_{i+1}
     out[:, 3:6] = np.outer(lam[2], q2) - np.outer(lam[1], q3)
     out[:, 6:9] = np.outer(lam[0], q3) - np.outer(lam[2], q1)
     out[:, 9:12] = np.outer(lam[1], q1) - np.outer(lam[0], q2)
-    return out, (f, fz, lam, lamz), qcols
+    return out
 
 
 def embedded_field(params: SeekParams) -> SingularField:
@@ -304,19 +297,14 @@ def embedded_field(params: SeekParams) -> SingularField:
     alpha = params.alpha
 
     def func(x, z, t, sigma, tau):
-        scalar = np.ndim(tau) == 0
-        taus = np.atleast_1d(tau)
-        out, _, _ = _embedded_values(np.asarray(x, float), float(z[0]), sigma, taus, alpha)
-        return out[0] if scalar else out
+        f, _, lam, _ = _embedded_pieces(float(z[0]), sigma, np.atleast_1d(tau), alpha)
+        out = _embedded_rows(np.asarray(x, float), f, lam)
+        return out[0] if np.ndim(tau) == 0 else out
 
     def jac_x(x, z, t, sigma, tau):
-        scalar = np.ndim(tau) == 0
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        m = taus.size
-        _, (f, fz, lam, lamz), _ = _embedded_values(
-            np.asarray(x, float), float(z[0]), sigma, taus, alpha
-        )
-        jac = np.zeros((m, 12, 12))
+        f, _, lam, _ = _embedded_pieces(float(z[0]), sigma, taus, alpha)
+        jac = np.zeros((taus.size, 12, 12))
         eye = np.eye(3)
         for i in range(3):
             jac[:, 0:3, 3 + 3 * i : 6 + 3 * i] = f[i][:, None, None] * eye
@@ -326,22 +314,12 @@ def embedded_field(params: SeekParams) -> SingularField:
         jac[:, 6:9, 3:6] = -lam[2][:, None, None] * eye
         jac[:, 9:12, 3:6] = lam[1][:, None, None] * eye
         jac[:, 9:12, 6:9] = -lam[0][:, None, None] * eye
-        return jac[0] if scalar else jac
+        return jac[0] if np.ndim(tau) == 0 else jac
 
     def jac_z(x, z, t, sigma, tau):
-        scalar = np.ndim(tau) == 0
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        x = np.asarray(x, float)
-        q1, q2, q3 = x[3:6], x[6:9], x[9:12]
-        f, fz, lam, lamz = _embedded_pieces(float(z[0]), sigma, taus, alpha)
-        m = taus.size
-        col = np.zeros((m, 12, 1))
-        qcols = np.stack([q1, q2, q3])
-        col[:, 0:3, 0] = fz.T @ qcols
-        col[:, 3:6, 0] = np.outer(lamz[2], q2) - np.outer(lamz[1], q3)
-        col[:, 6:9, 0] = np.outer(lamz[0], q3) - np.outer(lamz[2], q1)
-        col[:, 9:12, 0] = np.outer(lamz[1], q1) - np.outer(lamz[0], q2)
-        return col[0] if scalar else col
+        _, fz, _, lamz = _embedded_pieces(float(z[0]), sigma, np.atleast_1d(tau), alpha)
+        col = _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
+        return col[0] if np.ndim(tau) == 0 else col
 
     return SingularField(
         dim=EMBEDDED_DIM,
@@ -367,29 +345,20 @@ def embedded_system(
     """
     f1 = embedded_field(params)
 
-    def zero_func(x, z, t, sigma, tau):
-        if np.ndim(tau) == 0:
-            return np.zeros(EMBEDDED_DIM)
-        return np.zeros((len(tau), EMBEDDED_DIM))
+    def zeros(*shape):
+        def callback(x, z, t, sigma, tau):
+            return np.zeros(shape if np.ndim(tau) == 0 else (len(tau),) + shape)
 
-    def zero_jac_x(x, z, t, sigma, tau):
-        if np.ndim(tau) == 0:
-            return np.zeros((EMBEDDED_DIM, EMBEDDED_DIM))
-        return np.zeros((len(tau), EMBEDDED_DIM, EMBEDDED_DIM))
-
-    def zero_jac_z(x, z, t, sigma, tau):
-        if np.ndim(tau) == 0:
-            return np.zeros((EMBEDDED_DIM, 1))
-        return np.zeros((len(tau), EMBEDDED_DIM, 1))
+        return callback
 
     f2 = SingularField(
         dim=EMBEDDED_DIM,
         fast_dim=1,
-        func=zero_func,
+        func=zeros(EMBEDDED_DIM),
         T1=params.sigma_period,
         T2=params.tau_period,
-        jac_x=zero_jac_x,
-        jac_z=zero_jac_z,
+        jac_x=zeros(EMBEDDED_DIM, EMBEDDED_DIM),
+        jac_z=zeros(EMBEDDED_DIM, 1),
         vectorized=True,
         depends_sigma=False,
     )
@@ -485,6 +454,14 @@ def _seek_dt(params: SeekParams, settings: IntegratorSettings) -> float:
     return min(params.tau_period / params.omega / settings.steps_per_period, params.mu)
 
 
+def _projected_trajectory(rhs_flat, params, field, p0, M0, z0, t0, tf, settings, sample_dt):
+    y0 = np.concatenate([as_vec3(p0), as_mat3(M0).ravel(), [float(z0)]])
+    return integrate(
+        lambda t, y: rhs_flat(t, y, params, field), y0, t0, t0 + tf, settings,
+        rotation_blocks=_ROT_BLOCK, dt=_seek_dt(params, settings), sample_dt=sample_dt,
+    )
+
+
 def full_trajectory(
     params: SeekParams,
     field: SignalField,
@@ -498,11 +475,8 @@ def full_trajectory(
     sample_dt: float = None,
 ) -> Trajectory:
     """Integrate the literal closed loop; states are [p, R rows, z]."""
-    y0 = np.concatenate([as_vec3(p0), as_mat3(R0).ravel(), [float(z0)]])
-    rhs = lambda t, y: _full_rhs_flat(t, y, params, field)
-    return integrate_projected(
-        rhs, y0, t0, t0 + tf, settings, _ROT_BLOCK,
-        dt=_seek_dt(params, settings), sample_dt=sample_dt,
+    return _projected_trajectory(
+        _full_rhs_flat, params, field, p0, R0, z0, t0, tf, settings, sample_dt
     )
 
 
@@ -519,11 +493,8 @@ def transformed_trajectory(
     sample_dt: float = None,
 ) -> Trajectory:
     """Integrate the co-rotating representation; states are [p, Q rows, z]."""
-    y0 = np.concatenate([as_vec3(p0), as_mat3(Q0).ravel(), [float(z0)]])
-    rhs = lambda t, y: _transformed_rhs_flat(t, y, params, field)
-    return integrate_projected(
-        rhs, y0, t0, t0 + tf, settings, _ROT_BLOCK,
-        dt=_seek_dt(params, settings), sample_dt=sample_dt,
+    return _projected_trajectory(
+        _transformed_rhs_flat, params, field, p0, Q0, z0, t0, tf, settings, sample_dt
     )
 
 

@@ -117,8 +117,6 @@ def test_settings_validation():
         IntegratorSettings(steps_per_period=8)
     with pytest.raises(ValueError):
         IntegratorSettings(sample_stride=0)
-    with pytest.raises(ValueError):
-        IntegratorSettings(method="euler")
 
 
 def test_trajectory_validation():

@@ -242,6 +242,55 @@ def test_cli_plot_missing_dir(tmp_path, capsys):
     assert main(["plot", "--in", str(empty)]) == EXIT_CONFIG
 
 
+def test_cli_plot_missing_paths_are_config_errors(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    assert main(["plot", "--in", str(absent)]) == EXIT_CONFIG
+    assert str(absent) in capsys.readouterr().err
+
+    cfg = short_config(tmp_path)
+    out = tmp_path / "out"
+    main(["simulate", "--config", cfg, "--out", str(out)])
+    missing = out / "short" / "short_full.csv"
+    missing.unlink()
+    assert main(["plot", "--in", str(out / "short")]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_summary_comparisons_match_csv_maxima(tmp_path):
+    sc = load_config(short_config(tmp_path, representations=["full", "transformed", "rora"]))
+    art = run_scenario(sc, tmp_path / "run", plots=False)
+    assert set(art.summary["comparisons"]) == set(art.comparison_paths)
+    for key, path in art.comparison_paths.items():
+        header, data = read_csv(path)
+        assert header == ["t", "err_pos", "err_c"]
+        assert art.summary["comparisons"][key] == {
+            "sup_err_pos": float(data[:, 1].max()),
+            "sup_err_c": float(data[:, 2].max()),
+        }
+    on_disk = json.loads(open(art.summary_path, encoding="utf-8").read())
+    assert on_disk["comparisons"] == art.summary["comparisons"]
+
+
+def test_cli_demo_runs_builtin_scenario(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from recavg.runner import cli
+
+    seen = []
+
+    def fake_run(scenario, out_dir):
+        seen.append((scenario, out_dir))
+        return SimpleNamespace(run_dir=out_dir, summary={"representations": {}})
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    assert main(["demo", "ex2", "--out", str(tmp_path / "o")]) == EXIT_OK
+    (scenario, out_dir), = seen
+    expected = built_in("ex2")
+    assert scenario.name == "ex2" and scenario.field_spec == expected.field_spec
+    assert scenario.params == expected.params and scenario.t_final == expected.t_final
+    assert out_dir == os.path.join(str(tmp_path / "o"), "ex2")
+
+
 def test_cli_divergence_exit_code(tmp_path, monkeypatch, capsys):
     from recavg.odeint import DivergenceError
     from recavg.runner import cli

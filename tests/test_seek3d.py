@@ -205,6 +205,21 @@ def test_embedded_translation_at_reference_phases():
     assert np.abs(out[0:3] - math.sqrt(2.0) * E1).max() < 1e-12
 
 
+def test_embedded_field_matches_transformed_rhs():
+    # the R^12 field scaled by sqrt(w) is the co-rotating dynamics of (p, Q)
+    f1 = embedded_field(PARAMS)
+    sqw = math.sqrt(PARAMS.omega)
+    rng = np.random.default_rng(28)
+    for _ in range(16):
+        p = rng.normal(0.0, 2.0, 3)
+        Q = rot_exp(rng.normal(size=3))
+        z = float(rng.normal())
+        t = float(rng.uniform(0.0, 50.0))
+        v = sqw * f1.func(embed_columns(p, Q), np.array([z]), t, sqw * t, PARAMS.omega * t)
+        dp, dQ, _ = transformed_rhs(p, Q, z, t, PARAMS, STATIC)
+        assert np.abs(v - np.concatenate([dp, dQ[:, 0], dQ[:, 1], dQ[:, 2]])).max() < 1e-12
+
+
 def test_embedded_field_periodicity():
     f1 = embedded_field(PARAMS)
     rng = np.random.default_rng(25)
