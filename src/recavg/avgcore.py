@@ -9,10 +9,12 @@ quadrature: the fast-time bracket term
 
     (1 / (2 T1 T2)) * int_0^T1 int_0^T2 [ int_0^tau f1 ds, f1 ] dtau dsigma
 
-plus the plain mean of f2 with prefactor 1 / (T1 T2). The Lie bracket
-convention is [u, v] = (Dv) u - (Du) v; both it and the placement of the
-1/2 prefactor on the bracket term are pinned by the closed-form oracles in
-the test suite (sin/cos fields and the rigid-body gain matrix).
+plus the plain mean of f2 with prefactor 1 / (T1 T2). The integrands are
+smooth and periodic, so each integral is the plain mean over n equispaced
+nodes per period (the periodic trapezoid rule). The Lie bracket convention
+is [u, v] = (Dv) u - (Du) v; both it and the placement of the 1/2 prefactor
+on the bracket term are pinned by the closed-form oracles in the test suite
+(sin/cos fields and the rigid-body gain matrix).
 
 A singularly perturbed variant carries a fast filter state z with
 mu * dz/dt = g(x, z); its reduced counterpart substitutes the
@@ -39,7 +41,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Composite-Simpson panel counts and the refinement stop rule."""
+    """Even periodic-grid node count per period, doubled per refinement, and the stop rule."""
 
     base_panels: int = 64
     tol: float = 1e-9
@@ -261,12 +263,12 @@ def _check_periodicity(f: TwoScaleField, rng, n_points=16, tol=_PERIODICITY_TOL)
 
 def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
     """Mean of f over one tau-period must vanish (zero-mean oscillation)."""
-    taus, weights = _simpson_nodes(64, f.T2)
+    taus = _periodic_nodes(64, f.T2)
     for _ in range(n_points):
         x = rng.normal(0.0, 1.0, f.dim)
         t = float(rng.normal(0.0, 1.0))
         sigma = float(rng.uniform(0.0, f.T1))
-        mean = weights @ f.eval_grid(x, t, sigma, taus) / f.T2
+        mean = f.eval_grid(x, t, sigma, taus).mean(axis=0)
         if np.abs(mean).max() > tol:
             raise ValueError(
                 "f1 has nonzero tau-mean at a sampled point "
@@ -277,25 +279,23 @@ def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
 # ---------------------------------------------------------------------------
 # quadrature primitives
 
-def _simpson_nodes(n_panels: int, length: float):
-    """Nodes and weights of composite Simpson with n_panels (even) panels."""
-    h = length / n_panels
-    nodes = np.linspace(0.0, length, n_panels + 1)
-    w = np.ones(n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return nodes, w * (h / 3.0)
+def _periodic_nodes(n: int, length: float) -> np.ndarray:
+    """n equispaced nodes of the periodic trapezoid rule on [0, length)."""
+    return np.arange(n) * (length / n)
 
 
-def _cumulative_simpson_even(values, h):
-    """Antiderivative at the even nodes of a grid with odd point count.
+def _periodic_antiderivative(values, length: float) -> np.ndarray:
+    """int_0^tau along axis 0 of samples on _periodic_nodes(n, length), n even.
 
-    values has shape (2k + 1, ...) on spacing h; returns shape (k + 1, ...)
-    where entry j is the Simpson integral over [0, 2 j h].
+    The oscillation is integrated spectrally (its Nyquist mode dropped) and
+    the mean as a ramp, so a small residual mean is not lost.
     """
-    pair = (h / 3.0) * (values[0:-2:2] + 4.0 * values[1::2] + values[2::2])
-    zero = np.zeros_like(values[:1])
-    return np.concatenate([zero, np.cumsum(pair, axis=0)], axis=0)
+    n, column = values.shape[0], (-1,) + (1,) * (values.ndim - 1)
+    coeffs = np.fft.rfft(values, axis=0)
+    coeffs[1:-1] /= 1j * (2.0 * np.pi / length) * np.arange(1, n // 2).reshape(column)
+    coeffs[[0, -1]] = 0.0
+    anti = np.fft.irfft(coeffs, n=n, axis=0)
+    return anti - anti[0] + _periodic_nodes(n, length).reshape(column) * values.mean(axis=0)
 
 
 def _fd_step(x) -> float:
@@ -342,44 +342,30 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
     return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
 
 
-def _sigma_nodes(f1: TwoScaleField, f2: TwoScaleField, n_panels: int):
-    if f1.depends_sigma or f2.depends_sigma:
-        nodes, weights = _simpson_nodes(n_panels, f1.T1)
-        return nodes, weights
-    # both fields ignore sigma: one node carries the whole period
-    return np.array([0.0]), np.array([f1.T1])
+def _averaged_value(sys: TwoScaleSystem, x, t, n, bracket_sign, swap_prefactors):
+    """One pass of the averaged drift at (x, t) on an n x n periodic grid.
 
-
-def _averaged_value(sys: TwoScaleSystem, x, t, n_panels, bracket_sign, swap_prefactors):
-    """One quadrature pass of the averaged drift at (x, t) with n_panels panels."""
+    When neither field depends on sigma, one sigma node is exact.
+    """
     f1, f2 = sys.f1, sys.f2
-    T1, T2 = f1.T1, f1.T2
-    sig_nodes, sig_w = _sigma_nodes(f1, f2, n_panels)
-    # inner tau grid at double resolution; the antiderivative is exact-Simpson
-    # at the even nodes, over which the outer tau integral runs
-    m = 2 * n_panels
-    h = T2 / m
-    taus = np.linspace(0.0, T2, m + 1)
-    _, tau_w = _simpson_nodes(n_panels, T2)
+    taus = _periodic_nodes(n, f1.T2)
+    sigmas = _periodic_nodes(n, f1.T1) if f1.depends_sigma or f2.depends_sigma else [0.0]
 
     x = np.asarray(x, dtype=float)
-    bracket_acc = np.zeros(f1.dim)
-    mean_acc = np.zeros(f1.dim)
-    for sig, sw in zip(sig_nodes, sig_w):
+    bracket = np.zeros(f1.dim)
+    mean = np.zeros(f1.dim)
+    for sig in sigmas:
         vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
-        anti = _cumulative_simpson_even(vals, h)
-        anti_jac = _cumulative_simpson_even(jacs, h)
-        vals_e = vals[0::2]
-        jacs_e = jacs[0::2]
-        bracket = np.einsum("mij,mj->mi", jacs_e, anti) - np.einsum(
-            "mij,mj->mi", anti_jac, vals_e
-        )
-        bracket_acc += sw * (tau_w @ bracket)
-        mean_acc += sw * (tau_w @ f2.eval_grid(x, t, sig, taus[0::2]))
-    bracket_acc *= bracket_sign
+        anti = _periodic_antiderivative(vals, f1.T2)
+        anti_jac = _periodic_antiderivative(jacs, f1.T2)
+        bracket += np.einsum("mij,mj->i", jacs, anti) - np.einsum("mij,mj->i", anti_jac, vals)
+        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
+    points = len(sigmas) * n
+    bracket *= bracket_sign / points
+    mean /= points
     if swap_prefactors:
-        return bracket_acc / (T1 * T2) + mean_acc / (2.0 * T1 * T2)
-    return bracket_acc / (2.0 * T1 * T2) + mean_acc / (T1 * T2)
+        return bracket + mean / 2.0
+    return bracket / 2.0 + mean
 
 
 def average_fields(
@@ -391,8 +377,8 @@ def average_fields(
 ) -> AveragedSystem:
     """Averaged drift of a two-timescale system, by refined double quadrature.
 
-    Every evaluation re-quadratures from scratch, doubling the panel count
-    until two successive results agree within settings.tol.
+    Every evaluation re-quadratures from scratch, doubling the nodes per
+    period until two successive results agree within settings.tol.
 
     bracket_sign and swap_prefactors deliberately break the bracket sign and
     the 1/2-prefactor placement; they exist so the verification command can
@@ -405,8 +391,8 @@ def average_fields(
         if settings.max_refinements == 0:
             return prev
         for level in range(1, settings.max_refinements + 1):
-            panels = settings.base_panels * (2**level)
-            cur = _averaged_value(sys, x, t, panels, bracket_sign, swap_prefactors)
+            nodes = settings.base_panels * (2**level)
+            cur = _averaged_value(sys, x, t, nodes, bracket_sign, swap_prefactors)
             if np.abs(cur - prev).max() <= settings.tol:
                 return cur
             prev = cur

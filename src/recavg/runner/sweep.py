@@ -10,7 +10,6 @@ is trying to measure. Errors are sup-over-samples distances on the full
 """
 
 import json
-import math
 import os
 
 import numpy as np

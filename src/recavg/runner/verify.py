@@ -85,7 +85,7 @@ def verify_averaging(
     *,
     flip_bracket: bool = False,
     swap_prefactors: bool = False,
-    quad: QuadratureSettings = None,
+    quad: QuadratureSettings = QuadratureSettings(),
     n_probes: int = 24,
     seed: int = 7,
 ) -> VerificationReport:
@@ -106,7 +106,7 @@ def verify_averaging(
 
     averaged = avgcore.average_fields(
         sincos_test_system(),
-        quad if quad is not None else QuadratureSettings(),
+        quad,
         bracket_sign=sign,
         swap_prefactors=swap_prefactors,
     )

@@ -389,7 +389,7 @@ def embedded_system(
 def compute_A_numeric(
     params: SeekParams,
     field: SignalField = None,
-    quad: QuadratureSettings = None,
+    quad: QuadratureSettings = QuadratureSettings(),
     *,
     n_probes: int = 24,
     seed: int = 7,
@@ -410,9 +410,6 @@ def compute_A_numeric(
     """
     if field is None:
         field = signal_field("static")
-    if quad is None:
-        # the gain is needed to 1e-6; 1e-7 agreement keeps refinement shallow
-        quad = QuadratureSettings(base_panels=64, tol=1e-7, max_refinements=4)
     ssys = embedded_system(params, field, validate=False)
     averaged = avgcore.rora_reduce(
         ssys, quad, bracket_sign=bracket_sign, swap_prefactors=swap_prefactors

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from recavg import avgcore, seek3d
+from recavg import seek3d
 from recavg.avgcore import (
     AveragedSystem,
     QuadratureError,
@@ -22,6 +22,7 @@ from recavg.avgcore import (
     SingularSystem,
     TwoScaleField,
     TwoScaleSystem,
+    _periodic_antiderivative,
     average_fields,
     constant_field,
     convergence_study,
@@ -205,8 +206,8 @@ def test_state_independent_f1_averages_to_zero():
 
 
 def test_quadrature_doubling_consistency():
-    # the cumulative antiderivative limits accuracy: 64 -> 128 moves the
-    # output by 1.2e-8 on this field, every further doubling by 16x less
+    # band-limited field: the periodic rule is exact on both grids, so the
+    # two results differ by roundoff only
     sys = sincos_system()
     x = np.array([0.8, -0.5])
     coarse = average_fields(sys, QuadratureSettings(base_panels=128, max_refinements=0))
@@ -214,11 +215,63 @@ def test_quadrature_doubling_consistency():
     assert np.abs(coarse(x, 0.0) - fine(x, 0.0)).max() <= 1e-8
 
 
+def exp_sin_system():
+    """sin(tau) B1 x + cos(tau) exp(sin tau) B2 x: zero tau-mean, not band-limited.
+
+    Its averaged drift is I1(1) diag(1, -1) x, with I1 the modified Bessel
+    function: the tau-mean of sin(tau) exp(sin tau).
+    """
+
+    def func(x, t, sigma, tau):
+        a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
+        return np.multiply.outer(a, B1 @ x) + np.multiply.outer(b, B2 @ x)
+
+    def jac(x, t, sigma, tau):
+        a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
+        return np.multiply.outer(a, B1) + np.multiply.outer(b, B2)
+
+    field = TwoScaleField(
+        dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac,
+        vectorized=True, depends_sigma=False,
+    )
+    return TwoScaleSystem(f1=field, f2=constant_field(2, TWO_PI, TWO_PI), omega=400.0)
+
+
 def test_quadrature_non_convergence_raises():
-    sys = sincos_system()
-    averaged = average_fields(sys, QuadratureSettings(base_panels=4, tol=1e-16, max_refinements=1))
+    # 4 -> 8 nodes moves the result by ~6e-2 on this field
+    averaged = average_fields(
+        exp_sin_system(), QuadratureSettings(base_panels=4, tol=1e-12, max_refinements=1)
+    )
     with pytest.raises(QuadratureError):
         averaged(np.array([1.0, 0.5]), 0.0)
+
+
+def test_periodic_rule_converges_exponentially():
+    # I1(1) = sum_k (1/2)^(2k+1) / (k! (k+1)!)
+    bessel_i1 = sum(0.5 ** (2 * k + 1) / (math.factorial(k) * math.factorial(k + 1))
+                    for k in range(20))
+    averaged = average_fields(
+        exp_sin_system(), QuadratureSettings(base_panels=16, max_refinements=0)
+    )
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        x = rng.normal(size=2)
+        expected = bessel_i1 * np.array([x[0], -x[1]])
+        assert np.abs(averaged(x, 0.0) - expected).max() < 1e-12
+
+    # the antiderivative integrates the mean as a ramp: c + cos(3 k0 tau)
+    # with k0 = 2 pi / length integrates to c tau + sin(3 k0 tau) / (3 k0);
+    # the Nyquist mode cos(4 k0 tau) integrates to zero on the 8 nodes
+    for length, c in ((TWO_PI, 0.7), (3.0, np.array([[0.7, -1e-7], [0.0, 2.5]]))):
+        k0 = TWO_PI / length
+        taus = np.arange(8) * (length / 8)
+        wave = np.cos(3 * k0 * taus) + np.cos(4 * k0 * taus)
+        wave = wave.reshape((-1,) + (1,) * np.ndim(c))
+        ramp = taus.reshape(wave.shape)
+        anti = _periodic_antiderivative(c + wave, length)
+        exact = c * ramp + np.sin(3 * k0 * ramp) / (3 * k0)
+        assert anti.shape == exact.shape
+        assert np.abs(anti - exact).max() < 1e-14
 
 
 # --- simulation wrappers ------------------------------------------------------

@@ -1,0 +1,45 @@
+"""Unused-import scan over the package and the test suite.
+
+A name bound by an import must be read somewhere in the same module, or be
+listed in its __all__. Imports under `if TYPE_CHECKING:` or in `try:`
+fallbacks are not used in this code base, so no exemption is made for them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    list((ROOT / "src" / "recavg").rglob("*.py")) + list((ROOT / "tests").glob("*.py"))
+)
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_flags_an_unused_import():
+    assert unused_imports("import math\nimport os\nos.sep\n") == [(1, "math")]
+    assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

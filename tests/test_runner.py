@@ -14,7 +14,6 @@ from recavg.runner import (
     load_config,
     parse_pi_value,
     run_scenario,
-    scenario_from_dict,
     verify_averaging,
 )
 from recavg.runner.artifacts import read_csv, write_csv

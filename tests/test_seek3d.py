@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from recavg import seek3d
-from recavg.avgcore import QuadratureSettings
-from recavg.geom3 import E1, E2, E3, hat, rot_exp, rot_z, so3_defect
+from recavg.geom3 import E1, E2, E3, hat, rot_exp, so3_defect
 from recavg.odeint import IntegratorSettings
 from recavg.seek3d import (
     AVERAGED_GAIN,
