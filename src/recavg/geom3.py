@@ -63,28 +63,89 @@ def rot_exp(v) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def rot_z(angle: float) -> np.ndarray:
-    """Rotation by `angle` about the third axis (exp(angle * hat(E3)))."""
+def rot_z(angle) -> np.ndarray:
+    """Rotation by `angle` about the third axis (exp(angle * hat(E3))).
+
+    Broadcasts: an array of angles of shape (...) gives shape (..., 3, 3).
+    """
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    out = np.zeros(np.shape(angle) + (3, 3))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    out[..., 2, 2] = 1.0
+    return out
+
+
+# The polar iteration stops once an update moves no entry by more than this:
+# convergence is quadratic, so the next update would move entries by about
+# its square, below rounding.
+_POLAR_STEP_TOL = 1e-9
+_POLAR_MAX_STEPS = 100
+# sigma_min^2 >= det^2 / |cofactor|_F^2; below this bound the exact
+# smallest singular value decides whether the input is rank-deficient
+_RANK_SCREEN = 1e-10
+_RANK_TOL = 1e-12
 
 
 def project_so3(m) -> np.ndarray:
     """Nearest rotation matrix: the orthogonal factor of the polar decomposition.
 
-    Computed via the symmetric square root of m^T m, which is optimal in the
-    Frobenius norm. Raises ValueError when the polar factor is a reflection
-    (determinant -1) or m is rank-deficient.
+    The factor is optimal in the Frobenius norm. Raises ValueError when the
+    polar factor is a reflection (determinant -1) or m is rank-deficient
+    (smallest singular value squared at most 1e-12).
     """
     m = as_mat3(m)
-    w, vecs = np.linalg.eigh(m.T @ m)
-    if w[0] <= 1e-12:
-        raise ValueError("matrix is rank-deficient; no unique nearest rotation")
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(w)) @ vecs.T
-    r = m @ inv_sqrt
-    if np.linalg.det(r) < 0.0:
-        raise ValueError("polar factor is a reflection (determinant -1)")
-    return r
+    return np.array(project_so3_unchecked(m.ravel().tolist())).reshape(3, 3)
+
+
+def project_so3_unchecked(m):
+    """project_so3 on 9 finite row-major floats, returned as a 9-tuple.
+
+    Scaled Newton iteration X <- (zeta X + (zeta X)^{-T}) / 2 with
+    zeta = det(X)^{-1/3} (Higham, SIAM J. Sci. Stat. Comput. 7, 1986).
+    X^{-T} is the cofactor matrix over det(X), whose rows are b x c, c x a
+    and a x b for the rows a, b, c of X. The caller guarantees the shape and
+    finiteness that project_so3 checks.
+    """
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = m
+    for step in range(_POLAR_MAX_STEPS):
+        x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        w0, w1, w2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = a0 * x0 + a1 * x1 + a2 * x2
+        if step == 0:
+            cof2 = (
+                x0 * x0 + x1 * x1 + x2 * x2 + y0 * y0 + y1 * y1 + y2 * y2
+                + w0 * w0 + w1 * w1 + w2 * w2
+            )
+            if det * det <= _RANK_SCREEN * cof2 and _min_singular_sq(m) <= _RANK_TOL:
+                raise ValueError("matrix is rank-deficient; no unique nearest rotation")
+            if det < 0.0:
+                raise ValueError("polar factor is a reflection (determinant -1)")
+        zeta = det ** (-1.0 / 3.0)
+        g = 0.5 * zeta
+        h = 0.5 / (zeta * det)
+        n = (
+            g * a0 + h * x0, g * a1 + h * x1, g * a2 + h * x2,
+            g * b0 + h * y0, g * b1 + h * y1, g * b2 + h * y2,
+            g * c0 + h * w0, g * c1 + h * w1, g * c2 + h * w2,
+        )
+        moved = max(
+            abs(n[0] - a0), abs(n[1] - a1), abs(n[2] - a2),
+            abs(n[3] - b0), abs(n[4] - b1), abs(n[5] - b2),
+            abs(n[6] - c0), abs(n[7] - c1), abs(n[8] - c2),
+        )
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = n
+        if moved <= _POLAR_STEP_TOL:
+            break
+    return n
+
+
+def _min_singular_sq(m) -> float:
+    m = np.reshape(m, (3, 3))
+    return float(np.linalg.eigvalsh(m.T @ m)[0])
 
 
 def levi_civita(i: int, j: int, k: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom3 import project_so3, so3_defect
+from .geom3 import project_so3_unchecked, so3_defect
 
 
 class DivergenceError(RuntimeError):
@@ -106,10 +106,10 @@ def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks=()):
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         t_next = t0 + (k + 1) * dt
-        for start in projected_blocks:
-            x[start : start + 9] = project_so3(x[start : start + 9].reshape(3, 3)).ravel()
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(t_next)
+        for start in projected_blocks:
+            x[start : start + 9] = project_so3_unchecked(x[start : start + 9].tolist())
         if (k + 1) % every == 0 or k + 1 == n_steps:
             if t_next > times[-1]:
                 times.append(t_next)

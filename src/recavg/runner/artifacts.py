@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geom3 import so3_defect
 from ..odeint import Trajectory
 from ..seek3d import (
     full_trajectory,
@@ -68,25 +67,19 @@ def _rep_table(rep: str, traj: Trajectory, scenario: Scenario):
     constant averaged frame for "rora"; z is the filter state where one
     exists and the quasi-steady value c(p, t) for "rora".
     """
-    field = scenario.field
-    rows = np.empty((len(traj), len(STATE_COLUMNS)))
-    for i, (t, y) in enumerate(zip(traj.times, traj.states)):
-        p = y[0:3]
-        rot = y[3:12].reshape(3, 3)
-        c = field.strength(p, t)
-        if rep == "full":
-            z = y[12]
-        elif rep == "transformed":
-            z = y[12]
-            rot = reconstruct_R(rot, z, t, scenario.params)
-        else:
-            z = c
-        rows[i] = [t, p[0], p[1], p[2], z, c, *rot.ravel()]
-    return rows
+    times, states = traj.times, traj.states
+    strength = scenario.field.strength
+    c = np.array([strength(y[0:3], t) for t, y in zip(times, states)])
+    rot = states[:, 3:12]
+    z = c if rep == "rora" else states[:, 12]
+    if rep == "transformed":
+        rot = reconstruct_R(rot.reshape(-1, 3, 3), z, times, scenario.params).reshape(-1, 9)
+    return np.column_stack([times, states[:, 0:3], z, c, rot])
 
 
 def _so3_drift(traj: Trajectory) -> float:
-    return max(so3_defect(y[3:12].reshape(3, 3)) for y in traj.states)
+    m = traj.states[:, 3:12].reshape(-1, 3, 3)
+    return float(np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(3)).max())
 
 
 def run_representations(scenario: Scenario, t0: float = 0.0):
@@ -168,10 +161,10 @@ def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = Tru
             ),
             "max_so3_defect": _so3_drift(traj),
             "sup_distance_to_source": float(
-                max(
-                    np.linalg.norm(y[0:3] - field.source(t))
-                    for t, y in zip(traj.times, traj.states)
-                )
+                np.linalg.norm(
+                    traj.states[:, 0:3] - np.array([field.source(t) for t in traj.times]),
+                    axis=1,
+                ).max()
             ),
         }
     if scenario.field.kappa is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import avgcore
 from .avgcore import QuadratureSettings, SingularField, SingularSystem
-from .geom3 import E1, E2, E3, as_mat3, as_vec3, hat, rot_exp, rot_z
+from .geom3 import as_mat3, as_vec3, rot_exp, rot_z
 from .odeint import IntegratorSettings, Trajectory, integrate
 
 AVERAGED_GAIN = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]) / 4.0
@@ -155,49 +155,107 @@ def control_inputs(state: RigidState, t: float, params: SeekParams, field: Signa
     dz/dt = (c(p, t) - z) / mu, yaw = omega - dz/dt, and the roll
     oscillates as 2 alpha sqrt(2 omega) sin(omega t - z + pi/4).
     """
-    c = field.strength(state.p, t)
-    zdot = (c - state.z) / params.mu
-    omega_yaw = params.omega - zdot
+    return _feedback(state.p, float(state.z), t, params, field)
+
+
+def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
+    zdot = (field.strength(p, t) - z) / params.mu
     omega_roll = (
         2.0
         * params.alpha
         * math.sqrt(2.0 * params.omega)
-        * math.sin(params.omega * t - state.z + math.pi / 4.0)
+        * math.sin(params.omega * t - z + math.pi / 4.0)
     )
-    return omega_roll, omega_yaw, zdot
+    return omega_roll, params.omega - zdot, zdot
+
+
+def _rigid_rates(q, v, w, zdot) -> np.ndarray:
+    """The 13-vector [M v, rows of M hat(w), zdot] for M given as 9 row-major floats.
+
+    Row i of M hat(w) is m_i x w for the i-th row m_i of M.
+    """
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = q
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    return np.array(
+        [
+            m00 * v0 + m01 * v1 + m02 * v2,
+            m10 * v0 + m11 * v1 + m12 * v2,
+            m20 * v0 + m21 * v1 + m22 * v2,
+            m01 * w2 - m02 * w1, m02 * w0 - m00 * w2, m00 * w1 - m01 * w0,
+            m11 * w2 - m12 * w1, m12 * w0 - m10 * w2, m10 * w1 - m11 * w0,
+            m21 * w2 - m22 * w1, m22 * w0 - m20 * w2, m20 * w1 - m21 * w0,
+            zdot,
+        ]
+    )
+
+
+def _full_rates(p, r, z, t, params, field) -> np.ndarray:
+    omega_roll, omega_yaw, zdot = _feedback(p, z, t, params, field)
+    speed = math.sqrt(2.0 * params.omega)
+    return _rigid_rates(r, (speed, 0.0, 0.0), (omega_roll, 0.0, omega_yaw), zdot)
 
 
 def full_rhs(state: RigidState, t: float, params: SeekParams, field: SignalField):
     """Closed-loop kinematics: dp = sqrt(2 w) R e1, dR = R hat(roll e1 + yaw e3)."""
-    omega_roll, omega_yaw, zdot = control_inputs(state, t, params, field)
-    dp = math.sqrt(2.0 * params.omega) * (state.R @ E1)
-    dR = state.R @ hat(omega_roll * E1 + omega_yaw * E3)
-    return dp, dR, zdot
+    out = _full_rates(state.p, np.ravel(state.R).tolist(), float(state.z), t, params, field)
+    return out[0:3], out[3:12].reshape(3, 3), float(out[12])
 
 
 def _full_rhs_flat(t, y, params, field):
-    state = RigidState(p=y[0:3], R=y[3:12].reshape(3, 3), z=y[12])
-    dp, dR, dz = full_rhs(state, t, params, field)
-    return np.concatenate([dp, dR.ravel(), [dz]])
+    vals = y.tolist()
+    return _full_rates(y[0:3], vals[3:12], vals[12], t, params, field)
 
 
-def roll_frame(sigma: float, alpha: float) -> np.ndarray:
-    """Co-rotating roll frame: exp(alpha sigma (hat(e1) + hat(e2)))."""
-    return rot_exp(alpha * sigma * (E1 + E2))
+_SQRT2 = math.sqrt(2.0)
+# hat of the roll axis n = (e1 + e2) / sqrt(2), and n n^T
+_ROLL_HAT = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) / _SQRT2
+_ROLL_OUTER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]) / 2.0
 
 
-def _body_direction(z: float, tau) -> np.ndarray:
-    """Heading factor exp((tau - z) hat(e3)) e1; broadcasts over tau."""
-    th = np.asarray(tau) - z
-    return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)])
+def roll_frame(sigma, alpha: float) -> np.ndarray:
+    """Co-rotating roll frame R2 = exp(alpha sigma (hat(e1) + hat(e2))).
+
+    R2 turns by th = sqrt(2) alpha sigma about n = (e1 + e2) / sqrt(2), so
+    R2 = cos th I + sin th hat(n) + (1 - cos th) n n^T. Broadcasts: sigma of
+    shape (...) gives shape (..., 3, 3).
+    """
+    th = _SQRT2 * alpha * np.asarray(sigma, dtype=float)[..., None, None]
+    c = np.cos(th)
+    return c * np.eye(3) + np.sin(th) * _ROLL_HAT + (1.0 - c) * _ROLL_OUTER
 
 
-def _roll_axis(z: float, tau) -> np.ndarray:
-    """Roll oscillation axis exp(2 (tau - z) hat(e3)) (e1 - e2); broadcasts."""
-    th = 2.0 * (np.asarray(tau) - z)
-    return np.stack(
-        [np.cos(th) + np.sin(th), np.sin(th) - np.cos(th), np.zeros_like(th)]
-    )
+def _turn_in_plane(c, s, u, v):
+    """Components of R2 (u, v, 0) for R2 of angle th, with c = cos th, s = sin th.
+
+    Rodrigues' formula cos th x + sin th (n x x) + (1 - cos th) (n . x) n on
+    an in-plane x; u and v may be arrays of one shape.
+    """
+    h = 0.5 * (1.0 - c) * (u + v)
+    return c * u + h, c * v + h, (v - u) * (s / _SQRT2)
+
+
+def _frame_vectors(z: float, sigma: float, tau: float, alpha: float):
+    """The vectors f and L of transformed_rhs as two 3-tuples of floats.
+
+    f = sqrt(2) R2(sigma) R1(tau, z) e1 and
+    L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2), at scalar
+    arguments; _embedded_pieces is the same map over a tau grid.
+    """
+    th = _SQRT2 * alpha * sigma
+    c, s = math.cos(th), math.sin(th)
+    phi = tau - z
+    f = _turn_in_plane(c, s, _SQRT2 * math.cos(phi), _SQRT2 * math.sin(phi))
+    c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    lam = _turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2))
+    return f, lam
+
+
+def _transformed_rates(p, q, z, t, params, field) -> np.ndarray:
+    sqw = math.sqrt(params.omega)
+    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sqw * t, params.omega * t, params.alpha)
+    zdot = (field.strength(p, t) - z) / params.mu
+    return _rigid_rates(q, (sqw * f0, sqw * f1, sqw * f2), (sqw * l0, sqw * l1, sqw * l2), zdot)
 
 
 def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
@@ -207,30 +265,27 @@ def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
     R1(tau, z) e1 and L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2),
     where sigma = sqrt(w) t and tau = w t.
     """
-    sigma = math.sqrt(params.omega) * t
-    tau = params.omega * t
-    R2 = roll_frame(sigma, params.alpha)
-    f = math.sqrt(2.0) * (R2 @ _body_direction(z, tau))
-    lam = params.alpha * (R2 @ _roll_axis(z, tau))
-    sqw = math.sqrt(params.omega)
-    dp = sqw * (Q @ f)
-    dQ = sqw * (Q @ hat(lam))
-    dz = (field.strength(p, t) - z) / params.mu
-    return dp, dQ, dz
+    out = _transformed_rates(p, np.ravel(Q).tolist(), float(z), t, params, field)
+    return out[0:3], out[3:12].reshape(3, 3), float(out[12])
 
 
 def _transformed_rhs_flat(t, y, params, field):
-    dp, dQ, dz = transformed_rhs(
-        y[0:3], y[3:12].reshape(3, 3), y[12], t, params, field
+    vals = y.tolist()
+    return _transformed_rates(y[0:3], vals[3:12], vals[12], t, params, field)
+
+
+def reconstruct_R(Q, z, t, params: SeekParams) -> np.ndarray:
+    """Recover the physical attitude R = Q R2(sigma) R1(tau, z).
+
+    Broadcasts: Q of shape (..., 3, 3) with z and t of shape (...) gives
+    shape (..., 3, 3).
+    """
+    t = np.asarray(t, dtype=float)
+    return (
+        np.asarray(Q, dtype=float)
+        @ roll_frame(math.sqrt(params.omega) * t, params.alpha)
+        @ rot_z(params.omega * t - z)
     )
-    return np.concatenate([dp, dQ.ravel(), [dz]])
-
-
-def reconstruct_R(Q, z: float, t: float, params: SeekParams) -> np.ndarray:
-    """Recover the physical attitude R = Q R2(sigma) R1(tau, z)."""
-    sigma = math.sqrt(params.omega) * t
-    tau = params.omega * t
-    return as_mat3(Q) @ roll_frame(sigma, params.alpha) @ rot_z(tau - z)
 
 
 def initial_Q(R0, z0: float, t0: float, params: SeekParams) -> np.ndarray:
@@ -252,23 +307,22 @@ def rora_rhs(p, Q, t, field: SignalField):
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
-_HAT_E3 = hat(E3)
-
-
 def _embedded_pieces(z: float, sigma: float, taus, alpha: float):
     """f, d f/dz, L, d L/dz on a tau grid, all of shape (3, len(taus)).
 
-    f and L are transformed_rhs's vectors. The heading and the roll axis
+    f and L are _frame_vectors's vectors. The heading and the roll axis
     turn about e3 at angle rates 1 and 2 in tau - z, so their z-derivatives
-    are -hat(e3) and -2 hat(e3) applied to them.
+    are -hat(e3) and -2 hat(e3) applied to them, again in-plane vectors.
     """
-    R2 = roll_frame(sigma, alpha)
-    rho = _body_direction(z, taus)
-    axis = _roll_axis(z, taus)
-    f = math.sqrt(2.0) * (R2 @ rho)
-    fz = -math.sqrt(2.0) * (R2 @ (_HAT_E3 @ rho))
-    lam = alpha * (R2 @ axis)
-    lamz = -2.0 * alpha * (R2 @ (_HAT_E3 @ axis))
+    th = _SQRT2 * alpha * sigma
+    c, s = math.cos(th), math.sin(th)
+    phi = np.asarray(taus) - z
+    cp, sp = np.cos(phi), np.sin(phi)
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    f = np.array(_turn_in_plane(c, s, _SQRT2 * cp, _SQRT2 * sp))
+    fz = np.array(_turn_in_plane(c, s, _SQRT2 * sp, -_SQRT2 * cp))
+    lam = np.array(_turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2)))
+    lamz = np.array(_turn_in_plane(c, s, 2.0 * alpha * (s2 - c2), -2.0 * alpha * (c2 + s2)))
     return f, fz, lam, lamz
 
 

@@ -138,6 +138,40 @@ def test_project_so3_rejects_rank_deficient():
         project_so3(np.outer(E1, E1))
 
 
+def reference_project_so3(m):
+    """Test-only oracle: the polar factor by the eigh square root of m^T m."""
+    w, vecs = np.linalg.eigh(m.T @ m)
+    return m @ (vecs @ np.diag(1.0 / np.sqrt(w)) @ vecs.T)
+
+
+def test_project_so3_matches_eigh_and_svd_factors():
+    rng = np.random.default_rng(11)
+    for exponent in range(-12, 0):
+        for _ in range(20):
+            e = rng.normal(size=(3, 3))
+            m = rot_exp(rng.normal(size=3)) + 10.0**exponent * e / np.abs(e).max()
+            x = project_so3(m)
+            u, _, vt = np.linalg.svd(m)
+            assert np.abs(x - u @ vt).max() < 1e-13
+            assert np.abs(x - reference_project_so3(m)).max() < 1e-13
+            assert np.abs(x.T @ x - np.eye(3)).max() <= 1e-14
+
+
+def test_project_so3_ill_conditioned():
+    # just above the rank threshold: sigma_min^2 = 4e-12 > 1e-12
+    r = rot_exp(np.array([0.3, -0.2, 0.5]))
+    assert np.abs(project_so3(np.diag([1.0, 1.0, 2e-6]) @ r) - r).max() < 1e-12
+    m = np.diag([1e3, 1.0, 1e-4]) @ r
+    u, _, vt = np.linalg.svd(m)
+    assert np.abs(project_so3(m) - u @ vt).max() < 1e-12
+
+
+def test_project_so3_rejects_near_singular():
+    # sigma_min^2 = 1e-14 is below the 1e-12 rank threshold
+    with pytest.raises(ValueError, match="rank-deficient"):
+        project_so3(np.diag([1.0, 1.0, 1e-7]))
+
+
 def test_levi_civita_values():
     assert levi_civita(1, 2, 3) == 1
     assert levi_civita(2, 1, 3) == -1

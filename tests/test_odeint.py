@@ -107,6 +107,17 @@ def test_divergence_reported_with_time():
     assert 0.0 < info.value.time <= 10.0
 
 
+def test_projected_divergence_reported_with_time():
+    # a NaN reaching a rotation block is a divergence, not a malformed matrix
+    def turns_nan(t, x):
+        return np.full(x.shape, np.nan if t > 0.05 else 0.0)
+
+    x0 = np.concatenate([[0.0], np.eye(3).ravel()])
+    with pytest.raises(DivergenceError) as info:
+        integrate(turns_nan, x0, 0.0, 1.0, IntegratorSettings(), rotation_blocks=(1,), dt=0.01)
+    assert info.value.time == pytest.approx(0.06)
+
+
 def test_zero_horizon_rejected():
     with pytest.raises(ValueError):
         integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 0.0, IntegratorSettings(), dt=0.1)

@@ -270,6 +270,37 @@ def test_summary_comparisons_match_csv_maxima(tmp_path):
     assert on_disk["comparisons"] == art.summary["comparisons"]
 
 
+def test_tables_and_summary_match_row_loops(tmp_path):
+    # reference: the per-row loops that the batched CSV tables and summary
+    # replaced; only the attitude products may round differently
+    from recavg.geom3 import so3_defect
+    from recavg.runner.artifacts import run_representations
+    from recavg.seek3d import reconstruct_R
+
+    # unprojected, so the SO(3) defects stand well above rounding
+    sc = load_config(short_config(
+        tmp_path, field={"kind": "orbit"}, representations=["full", "transformed", "rora"],
+        integrator={"steps_per_period": 64, "projection": False, "sample_stride": 8},
+    ))
+    art = run_scenario(sc, tmp_path / "run", plots=False)
+    for rep, traj in run_representations(sc).items():
+        rows = []
+        for t, y in zip(traj.times, traj.states):
+            c = sc.field.strength(y[0:3], t)
+            rot = y[3:12].reshape(3, 3)
+            if rep == "transformed":
+                rot = reconstruct_R(rot, y[12], t, sc.params)
+            rows.append([t, *y[0:3], c if rep == "rora" else y[12], c, *rot.ravel()])
+        _, table = read_csv(art.csv_paths[rep])
+        assert np.array_equal(table[:, :6], np.array(rows)[:, :6])
+        assert np.abs(table[:, 6:] - np.array(rows)[:, 6:]).max() <= 1e-15
+        info = art.summary["representations"][rep]
+        drift = max(so3_defect(y[3:12].reshape(3, 3)) for y in traj.states)
+        assert abs(info["max_so3_defect"] - drift) <= 1e-15
+        sup = max(np.linalg.norm(y[0:3] - sc.field.source(t)) for t, y in zip(traj.times, traj.states))
+        assert abs(info["sup_distance_to_source"] - sup) <= 1e-14
+
+
 def test_cli_demo_runs_builtin_scenario(tmp_path, monkeypatch, capsys):
     from types import SimpleNamespace
 

@@ -151,8 +151,7 @@ def test_transformed_reduces_to_identity_phases():
     Q = np.eye(3)
     # evaluate the pieces directly at tau = z
     sigma = 0.0
-    f = math.sqrt(2.0) * seek3d.roll_frame(sigma, params.alpha) @ seek3d._body_direction(z, z)
-    lam = params.alpha * seek3d.roll_frame(sigma, params.alpha) @ seek3d._roll_axis(z, z)
+    f, lam = seek3d._frame_vectors(z, sigma, z, params.alpha)
     assert np.abs(f - math.sqrt(2.0) * E1).max() < 1e-12
     assert np.abs(lam - params.alpha * (E1 - E2)).max() < 1e-12
 
@@ -164,9 +163,7 @@ def test_transformed_norm_invariants():
         t = float(rng.uniform(0.0, 10.0))
         sigma = math.sqrt(PARAMS.omega) * t
         tau = PARAMS.omega * t
-        R2 = seek3d.roll_frame(sigma, PARAMS.alpha)
-        f = math.sqrt(2.0) * R2 @ seek3d._body_direction(z, tau)
-        lam = PARAMS.alpha * R2 @ seek3d._roll_axis(z, tau)
+        f, lam = seek3d._frame_vectors(z, sigma, tau, PARAMS.alpha)
         assert abs(np.linalg.norm(f) - math.sqrt(2.0)) < 1e-12
         assert abs(np.linalg.norm(lam) - PARAMS.alpha * math.sqrt(2.0)) < 1e-12
 
@@ -193,6 +190,74 @@ def test_reconstruct_round_trip():
         back = reconstruct_R(Q, z, t, PARAMS)
         assert np.abs(back - R).max() < 1e-12
         assert so3_defect(back) < 1e-12
+
+
+# --- kernels against the forms they replaced ----------------------------------------
+# Test-only oracles: the RigidState/hat form of the full dynamics and the
+# rot_exp form of the co-rotating dynamics, as the library computed them
+# before the scalar kernels.
+
+def reference_full_rhs(p, R, z, t, params, field):
+    zdot = (field.strength(p, t) - z) / params.mu
+    omega_yaw = params.omega - zdot
+    omega_roll = (
+        2.0 * params.alpha * math.sqrt(2.0 * params.omega)
+        * math.sin(params.omega * t - z + math.pi / 4.0)
+    )
+    dp = math.sqrt(2.0 * params.omega) * (R @ E1)
+    return dp, R @ hat(omega_roll * E1 + omega_yaw * E3), zdot
+
+
+def reference_transformed_rhs(p, Q, z, t, params, field):
+    sigma, tau = math.sqrt(params.omega) * t, params.omega * t
+    R2 = rot_exp(params.alpha * sigma * (E1 + E2))
+    th = tau - z
+    heading = np.array([math.cos(th), math.sin(th), 0.0])
+    axis = np.array(
+        [math.cos(2 * th) + math.sin(2 * th), math.sin(2 * th) - math.cos(2 * th), 0.0]
+    )
+    f = math.sqrt(2.0) * (R2 @ heading)
+    lam = params.alpha * (R2 @ axis)
+    sqw = math.sqrt(params.omega)
+    dz = (field.strength(p, t) - z) / params.mu
+    return sqw * (Q @ f), sqw * (Q @ hat(lam)), dz
+
+
+def test_kernels_match_reference_forms():
+    orbit = signal_field("orbit")
+    rng = np.random.default_rng(29)
+    for k in range(240):
+        field = orbit if k % 2 else STATIC
+        p = rng.normal(0.0, 3.0, 3)
+        M = rot_exp(rng.normal(size=3))
+        z = float(rng.normal(0.0, 2.0))
+        t = float(rng.uniform(0.0, 200.0))
+        y = np.concatenate([p, M.ravel(), [z]])
+        views = (
+            (seek3d._full_rhs_flat, full_rhs(RigidState(p, M, z), t, PARAMS, field),
+             reference_full_rhs),
+            (seek3d._transformed_rhs_flat, transformed_rhs(p, M, z, t, PARAMS, field),
+             reference_transformed_rhs),
+        )
+        for flat, public, reference in views:
+            dp, dM, dz = reference(p, M, z, t, PARAMS, field)
+            expected = np.concatenate([dp, dM.ravel(), [dz]])
+            scale = np.abs(expected).max()
+            assert np.abs(flat(t, y, PARAMS, field) - expected).max() <= 1e-12 * scale
+            got = np.concatenate([public[0], public[1].ravel(), [public[2]]])
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+        R2 = rot_exp(PARAMS.alpha * math.sqrt(PARAMS.omega) * t * (E1 + E2))
+        assert np.abs(seek3d.roll_frame(math.sqrt(PARAMS.omega) * t, PARAMS.alpha) - R2).max() <= 1e-12
+
+
+def test_reconstruct_R_batch_matches_rows():
+    rng = np.random.default_rng(30)
+    Qs = np.array([rot_exp(rng.normal(size=3)) for _ in range(8)])
+    zs = rng.normal(size=8)
+    ts = rng.uniform(0.0, 50.0, 8)
+    batch = reconstruct_R(Qs, zs, ts, PARAMS)
+    for Q, z, t, R in zip(Qs, zs, ts, batch):
+        assert np.abs(reconstruct_R(Q, z, t, PARAMS) - R).max() <= 1e-15
 
 
 # --- embedding -------------------------------------------------------------------
