@@ -297,7 +297,9 @@ def test_tables_and_summary_match_row_loops(tmp_path):
         info = art.summary["representations"][rep]
         drift = max(so3_defect(y[3:12].reshape(3, 3)) for y in traj.states)
         assert abs(info["max_so3_defect"] - drift) <= 1e-15
-        sup = max(np.linalg.norm(y[0:3] - sc.field.source(t)) for t, y in zip(traj.times, traj.states))
+        sup = max(
+            np.linalg.norm(y[0:3] - sc.field.source(t)) for t, y in zip(traj.times, traj.states)
+        )
         assert abs(info["sup_distance_to_source"] - sup) <= 1e-14
 
 

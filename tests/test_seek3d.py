@@ -242,12 +242,13 @@ def test_kernels_match_reference_forms():
         for flat, public, reference in views:
             dp, dM, dz = reference(p, M, z, t, PARAMS, field)
             expected = np.concatenate([dp, dM.ravel(), [dz]])
-            scale = np.abs(expected).max()
-            assert np.abs(flat(t, y, PARAMS, field) - expected).max() <= 1e-12 * scale
+            tol = 1e-12 * np.maximum(1.0, np.abs(expected))
+            assert np.all(np.abs(flat(t, y, PARAMS, field) - expected) <= tol)
             got = np.concatenate([public[0], public[1].ravel(), [public[2]]])
-            assert np.abs(got - expected).max() <= 1e-12 * scale
-        R2 = rot_exp(PARAMS.alpha * math.sqrt(PARAMS.omega) * t * (E1 + E2))
-        assert np.abs(seek3d.roll_frame(math.sqrt(PARAMS.omega) * t, PARAMS.alpha) - R2).max() <= 1e-12
+            assert np.all(np.abs(got - expected) <= tol)
+        sigma = math.sqrt(PARAMS.omega) * t
+        R2 = rot_exp(PARAMS.alpha * sigma * (E1 + E2))
+        assert np.abs(seek3d.roll_frame(sigma, PARAMS.alpha) - R2).max() <= 1e-12
 
 
 def test_reconstruct_R_batch_matches_rows():
