@@ -90,31 +90,88 @@ def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
     return horizon / n, n, sample_stride
 
 
+def _sample_plan(t0, dt, n_steps, every):
+    """The steps after which to keep the state, and every sample time.
+
+    A sample is kept every `every` steps and after the last one, only when
+    its time lies strictly after the previous sample's.
+    """
+    candidates = list(range(every, n_steps + 1, every))
+    if n_steps % every:
+        candidates.append(n_steps)
+    steps, times = [], [t0]
+    for k in candidates:
+        t = t0 + k * dt
+        if t > times[-1]:
+            steps.append(k)
+            times.append(t)
+    return steps, times
+
+
 def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks=()):
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("state must be a flat vector")
-    times = [t0]
-    states = [x.copy()]
+    t0, dt = float(t0), float(dt)
+    steps, times = _sample_plan(t0, dt, n_steps, every)
+    states = np.empty((len(times), x.shape[0]))
+    states[0] = x
+    k1 = rhs(t0, x)
+    if isinstance(k1, list):
+        # float path: one state of Python floats; np.float64 entries from
+        # the first call on the array would otherwise spread through it
+        x, k1 = x.tolist(), [float(v) for v in k1]
+        run = _float_steps
+    else:
+        run = _array_steps
+    run(rhs, x, k1, t0, dt, n_steps, iter(steps), states, projected_blocks)
+    return Trajectory(np.array(times), states)
+
+
+def _array_steps(rhs, x, k1, t0, dt, n_steps, due, states, projected_blocks):
     half = 0.5 * dt
     sixth = dt / 6.0
+    row, sample = 1, next(due, 0)
     for k in range(n_steps):
         t = t0 + k * dt
-        k1 = rhs(t, x)
+        if k:
+            k1 = rhs(t, x)
         k2 = rhs(t + half, x + half * k1)
         k3 = rhs(t + half, x + half * k2)
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t_next = t0 + (k + 1) * dt
         if not np.isfinite(x).all():
-            raise DivergenceError(t_next)
+            raise DivergenceError(t0 + (k + 1) * dt)
         for start in projected_blocks:
             x[start : start + 9] = project_so3_unchecked(x[start : start + 9].tolist())
-        if (k + 1) % every == 0 or k + 1 == n_steps:
-            if t_next > times[-1]:
-                times.append(t_next)
-                states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+        if k + 1 == sample:
+            states[row] = x
+            row, sample = row + 1, next(due, 0)
+
+
+def _float_steps(rhs, x, k1, t0, dt, n_steps, due, states, projected_blocks):
+    """_array_steps on lists of floats, element by element in the same order."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    row, sample = 1, next(due, 0)
+    for k in range(n_steps):
+        t = t0 + k * dt
+        if k:
+            k1 = rhs(t, x)
+        k2 = rhs(t + half, [a + half * b for a, b in zip(x, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(x, k2)])
+        k4 = rhs(t + dt, [a + dt * b for a, b in zip(x, k3)])
+        x = [
+            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, x)):
+            raise DivergenceError(t0 + (k + 1) * dt)
+        for start in projected_blocks:
+            x[start : start + 9] = project_so3_unchecked(x[start : start + 9])
+        if k + 1 == sample:
+            states[row] = x
+            row, sample = row + 1, next(due, 0)
 
 
 def integrate(
@@ -133,6 +190,11 @@ def integrate(
 
     The nominal step is fastest_period / steps_per_period (or an explicit
     dt). Identical inputs produce bit-identical outputs.
+
+    The first call receives x0 as an array. An rhs that returns an array
+    keeps receiving arrays; one that returns a list of floats receives the
+    state as a list of floats from then on, and the stages are summed
+    element by element in the same order, so both give the same trajectory.
 
     rotation_blocks is a list of start offsets; block i occupies coordinates
     [start, start + 9) holding a row-major rotation matrix. Each block must

@@ -7,6 +7,7 @@ verification failure.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -38,6 +39,8 @@ def _parse_omegas(text):
         raise ConfigError(f"--omegas: {exc}") from exc
     if len(values) < 3:
         raise ConfigError("--omegas: need at least 3 comma-separated values")
+    if min(values) <= 0:
+        raise ConfigError(f"--omegas: every frequency must be positive, got {min(values):g}")
     return values
 
 
@@ -97,6 +100,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    if not (math.isfinite(args.t_final) and args.t_final > 0):
+        raise ConfigError(f"--t-final: must be a finite number > 0, got {args.t_final:g}")
     scenario = load_config(args.config) if args.config else built_in("ex1")
     omegas = _parse_omegas(args.omegas)
     out_dir = os.path.join(_out_root(args.out), f"{scenario.name}_sweep")

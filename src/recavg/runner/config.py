@@ -1,8 +1,9 @@
 """Scenario configuration: a versioned JSON document, validated field by field.
 
-Angles and frequencies may be written either as plain numbers or as strings
-of the form "<number>pi" (for example "4pi" or "0.5pi"), which are expanded
-exactly in double precision.
+Angles and frequencies may be written either as plain numbers (also inside
+a string, as in "12.5") or as strings of the form "<number>pi" (for example
+"4pi" or "0.5pi"), which are expanded exactly in double precision. Non-finite
+values are rejected.
 """
 
 import json
@@ -19,7 +20,7 @@ from ..seek3d import SeekParams, SignalField, signal_field
 SCHEMA_VERSION = 1
 REPRESENTATIONS = ("full", "transformed", "rora")
 
-_PI_PATTERN = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*pi\s*$")
+_NUMBER_PATTERN = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*(pi)?\s*$")
 
 
 class ConfigError(ValueError):
@@ -27,15 +28,22 @@ class ConfigError(ValueError):
 
 
 def parse_pi_value(value, where: str = "value") -> float:
-    """Accept a number, or a '<number>pi' string expanded as number * pi."""
+    """Accept a finite number, as a number or a string, or a '<number>pi'
+    string expanded as number * pi."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        m = _PI_PATTERN.match(value)
-        if m:
-            return float(m.group(1)) * math.pi
-        raise ConfigError(f"{where}: cannot parse {value!r}; expected a number or 'Npi'")
-    raise ConfigError(f"{where}: expected a number or 'Npi' string, got {type(value).__name__}")
+        out = float(value)
+    elif isinstance(value, str):
+        m = _NUMBER_PATTERN.match(value)
+        if not m:
+            raise ConfigError(f"{where}: cannot parse {value!r}; expected a number or 'Npi'")
+        out = float(m.group(1)) * (math.pi if m.group(2) else 1.0)
+    else:
+        raise ConfigError(
+            f"{where}: expected a number or 'Npi' string, got {type(value).__name__}"
+        )
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return out
 
 
 @dataclass(frozen=True)

@@ -169,28 +169,26 @@ def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
     return omega_roll, params.omega - zdot, zdot
 
 
-def _rigid_rates(q, v, w, zdot) -> np.ndarray:
-    """The 13-vector [M v, rows of M hat(w), zdot] for M given as 9 row-major floats.
+def _rigid_rates(q, v, w, zdot) -> list:
+    """The 13 floats [M v, rows of M hat(w), zdot] for M given as 9 row-major floats.
 
     Row i of M hat(w) is m_i x w for the i-th row m_i of M.
     """
     m00, m01, m02, m10, m11, m12, m20, m21, m22 = q
     v0, v1, v2 = v
     w0, w1, w2 = w
-    return np.array(
-        [
-            m00 * v0 + m01 * v1 + m02 * v2,
-            m10 * v0 + m11 * v1 + m12 * v2,
-            m20 * v0 + m21 * v1 + m22 * v2,
-            m01 * w2 - m02 * w1, m02 * w0 - m00 * w2, m00 * w1 - m01 * w0,
-            m11 * w2 - m12 * w1, m12 * w0 - m10 * w2, m10 * w1 - m11 * w0,
-            m21 * w2 - m22 * w1, m22 * w0 - m20 * w2, m20 * w1 - m21 * w0,
-            zdot,
-        ]
-    )
+    return [
+        m00 * v0 + m01 * v1 + m02 * v2,
+        m10 * v0 + m11 * v1 + m12 * v2,
+        m20 * v0 + m21 * v1 + m22 * v2,
+        m01 * w2 - m02 * w1, m02 * w0 - m00 * w2, m00 * w1 - m01 * w0,
+        m11 * w2 - m12 * w1, m12 * w0 - m10 * w2, m10 * w1 - m11 * w0,
+        m21 * w2 - m22 * w1, m22 * w0 - m20 * w2, m20 * w1 - m21 * w0,
+        zdot,
+    ]
 
 
-def _full_rates(p, r, z, t, params, field) -> np.ndarray:
+def _full_rates(p, r, z, t, params, field) -> list:
     omega_roll, omega_yaw, zdot = _feedback(p, z, t, params, field)
     speed = math.sqrt(2.0 * params.omega)
     return _rigid_rates(r, (speed, 0.0, 0.0), (omega_roll, 0.0, omega_yaw), zdot)
@@ -198,13 +196,14 @@ def _full_rates(p, r, z, t, params, field) -> np.ndarray:
 
 def full_rhs(state: RigidState, t: float, params: SeekParams, field: SignalField):
     """Closed-loop kinematics: dp = sqrt(2 w) R e1, dR = R hat(roll e1 + yaw e3)."""
-    out = _full_rates(state.p, np.ravel(state.R).tolist(), float(state.z), t, params, field)
+    out = np.array(
+        _full_rates(state.p, np.ravel(state.R).tolist(), float(state.z), t, params, field)
+    )
     return out[0:3], out[3:12].reshape(3, 3), float(out[12])
 
 
 def _full_rhs_flat(t, y, params, field):
-    vals = y.tolist()
-    return _full_rates(y[0:3], vals[3:12], vals[12], t, params, field)
+    return _full_rates(y[0:3], y[3:12], y[12], t, params, field)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -251,7 +250,7 @@ def _frame_vectors(z: float, sigma: float, tau: float, alpha: float):
     return f, lam
 
 
-def _transformed_rates(p, q, z, t, params, field) -> np.ndarray:
+def _transformed_rates(p, q, z, t, params, field) -> list:
     sqw = math.sqrt(params.omega)
     (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sqw * t, params.omega * t, params.alpha)
     zdot = (field.strength(p, t) - z) / params.mu
@@ -265,13 +264,12 @@ def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
     R1(tau, z) e1 and L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2),
     where sigma = sqrt(w) t and tau = w t.
     """
-    out = _transformed_rates(p, np.ravel(Q).tolist(), float(z), t, params, field)
+    out = np.array(_transformed_rates(p, np.ravel(Q).tolist(), float(z), t, params, field))
     return out[0:3], out[3:12].reshape(3, 3), float(out[12])
 
 
 def _transformed_rhs_flat(t, y, params, field):
-    vals = y.tolist()
-    return _transformed_rates(y[0:3], vals[3:12], vals[12], t, params, field)
+    return _transformed_rates(y[0:3], y[3:12], y[12], t, params, field)
 
 
 def reconstruct_R(Q, z, t, params: SeekParams) -> np.ndarray:
@@ -302,6 +300,31 @@ def rora_rhs(p, Q, t, field: SignalField):
     """
     dp = Q @ (AVERAGED_GAIN @ (Q.T @ field.gradient(p, t)))
     return dp, np.zeros((3, 3)), field.strength(p, t)
+
+
+_GAIN = AVERAGED_GAIN.ravel().tolist()
+
+
+def _rora_rates(p, q, t, field) -> list:
+    """rora_rhs's (dp, dQ) as 12 floats, for Q given as 9 row-major floats.
+
+    dp = Q v with v = A u and u = Q^T grad c; dQ is zero.
+    """
+    g0, g1, g2 = field.gradient(p, t).tolist()
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = q
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = _GAIN
+    u0 = m00 * g0 + m10 * g1 + m20 * g2
+    u1 = m01 * g0 + m11 * g1 + m21 * g2
+    u2 = m02 * g0 + m12 * g1 + m22 * g2
+    v0 = a00 * u0 + a01 * u1 + a02 * u2
+    v1 = a10 * u0 + a11 * u1 + a12 * u2
+    v2 = a20 * u0 + a21 * u1 + a22 * u2
+    return [
+        m00 * v0 + m01 * v1 + m02 * v2,
+        m10 * v0 + m11 * v1 + m12 * v2,
+        m20 * v0 + m21 * v1 + m22 * v2,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +591,8 @@ def rora_trajectory(
     1 / steps_per_period default step.
     """
     y0 = np.concatenate([as_vec3(p0), as_mat3(Q0).ravel()])
-
-    def rhs(t, y):
-        dp, dQ, _ = rora_rhs(y[0:3], y[3:12].reshape(3, 3), t, field)
-        return np.concatenate([dp, dQ.ravel()])
-
     step = dt if dt is not None else 1.0 / settings.steps_per_period
-    return integrate(rhs, y0, t0, t0 + tf, settings, dt=step, sample_dt=sample_dt)
+    return integrate(
+        lambda t, y: _rora_rates(y[0:3], y[3:12], t, field), y0, t0, t0 + tf, settings,
+        dt=step, sample_dt=sample_dt,
+    )

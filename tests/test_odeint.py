@@ -1,5 +1,7 @@
 """Fixed-step integrator checks: closed forms, order, projection, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,35 @@ def test_projected_divergence_reported_with_time():
     with pytest.raises(DivergenceError) as info:
         integrate(turns_nan, x0, 0.0, 1.0, IntegratorSettings(), rotation_blocks=(1,), dt=0.01)
     assert info.value.time == pytest.approx(0.06)
+
+
+def test_list_rhs_divergence_matches_array_twin():
+    # the float path checks finiteness before projecting, as the array path does
+    def turns_nan(t, x):
+        return [0.0] * 4 + [math.nan if t > 0.05 else 0.0] + [0.0] * 5
+
+    x0 = np.concatenate([[0.0], np.eye(3).ravel()])
+    times = []
+    for rhs in (turns_nan, lambda t, x: np.array(turns_nan(t, x))):
+        with pytest.raises(DivergenceError) as info:
+            integrate(rhs, x0, 0.0, 1.0, IntegratorSettings(), rotation_blocks=(1,), dt=0.01)
+        times.append(info.value.time)
+    assert times[0] == times[1] == pytest.approx(0.06)
+
+
+def test_samples_strictly_increasing_when_steps_round_away():
+    # at t0 = 2^53 a step of 0.5 is below the spacing of doubles, so several
+    # step times round to one value; only the first of them is sampled
+    t0 = 2.0**53
+    runs = [
+        integrate(rhs, [0.0], t0, t0 + 8.0, IntegratorSettings(), dt=0.5)
+        for rhs in (lambda t, x: [1.0], lambda t, x: np.ones(1))
+    ]
+    for traj in runs:
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[0] == t0 and traj.times[-1] == t0 + 8.0
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert runs[0].states.ravel().tolist() == [0.0, 1.5, 3.0, 5.5, 7.0]
 
 
 def test_zero_horizon_rejected():

@@ -14,6 +14,7 @@ from recavg.runner import (
     load_config,
     parse_pi_value,
     run_scenario,
+    run_sweep,
     verify_averaging,
 )
 from recavg.runner.artifacts import read_csv, write_csv
@@ -47,10 +48,13 @@ def test_parse_pi_values():
     assert parse_pi_value("-2pi") == -2.0 * math.pi
     assert parse_pi_value(3.25) == 3.25
     assert parse_pi_value(7) == 7.0
+    assert parse_pi_value("12.5") == 12.5
+    assert parse_pi_value(" 2e1 ") == 20.0
 
 
 def test_parse_pi_rejects_junk():
-    for bad in ("pi", "4 tau", "abc", None, [1]):
+    for bad in ("pi", "4 tau", "abc", None, [1], "nan", "inf", "1e999", "1e999pi", math.inf,
+                math.nan):
         with pytest.raises(ConfigError):
             parse_pi_value(bad)
 
@@ -218,6 +222,51 @@ def test_cli_sweep_short(tmp_path):
     assert data.shape == (3, 2)
     summary = json.loads((out / "short_sweep" / "short_sweep_summary.json").read_text())
     assert set(summary) >= {"fitted_slope", "empirical_C", "omegas", "sup_errors"}
+
+
+def _record_sweeps(monkeypatch):
+    from types import SimpleNamespace
+
+    from recavg.runner import cli
+
+    seen = []
+
+    def fake_sweep(scenario, omegas, out_dir, t_final):
+        seen.append((omegas, t_final))
+        return SimpleNamespace(omegas=omegas, sup_errors=[1.0] * len(omegas),
+                               fitted_slope=-0.5, empirical_C=1.0)
+
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    return seen
+
+
+def test_cli_sweep_omegas_plain_numbers(tmp_path, monkeypatch, capsys):
+    seen = _record_sweeps(monkeypatch)
+    out = str(tmp_path / "s")
+    assert main(["sweep", "--omegas", "12.5,50,200", "--out", out]) == EXIT_OK
+    assert seen == [([12.5, 50.0, 200.0], 20.0)]
+    for bad in ("nan,50,200", "12.5,inf,200", "0,50,200", "12.5,-50,200", "4pi,16pi,1e999"):
+        assert main(["sweep", "--omegas", bad, "--out", out]) == EXIT_CONFIG
+        assert "--omegas" in capsys.readouterr().err
+    assert len(seen) == 1
+
+
+def test_cli_sweep_rejects_bad_t_final(tmp_path, monkeypatch, capsys):
+    seen = _record_sweeps(monkeypatch)
+    for bad in ("nan", "inf", "0", "-1"):
+        code = main(["sweep", "--omegas", "4pi,8pi,16pi", "--t-final", bad,
+                     "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "--t-final" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_sweep_sup_errors_pinned():
+    # the array path of the integrator on the embedded reduced system
+    report = run_sweep(built_in("ex1"), [4 * math.pi, 16 * math.pi, 64 * math.pi], None,
+                       t_final=1.0, workers=1)
+    expected = (0.8038151863536257, 0.41297483997029594, 0.20858332603642268)
+    assert np.allclose(report.sup_errors, expected, rtol=1e-12, atol=0.0)
 
 
 def test_cli_plot_roundtrip(tmp_path):

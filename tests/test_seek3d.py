@@ -12,7 +12,7 @@ import pytest
 
 from recavg import seek3d
 from recavg.geom3 import E1, E2, E3, hat, rot_exp, so3_defect
-from recavg.odeint import IntegratorSettings
+from recavg.odeint import IntegratorSettings, integrate
 from recavg.seek3d import (
     AVERAGED_GAIN,
     RigidState,
@@ -259,6 +259,49 @@ def test_reconstruct_R_batch_matches_rows():
     batch = reconstruct_R(Qs, zs, ts, PARAMS)
     for Q, z, t, R in zip(Qs, zs, ts, batch):
         assert np.abs(reconstruct_R(Q, z, t, PARAMS) - R).max() <= 1e-15
+
+
+def test_float_path_matches_array_path():
+    # the list kernels run _rk4_run's float path; wrapped in np.array they run
+    # its array path, which must give the same trajectory bit for bit
+    orbit = signal_field("orbit")
+    settings = IntegratorSettings(steps_per_period=64, projection=True, sample_stride=3)
+    dt = seek3d._seek_dt(PARAMS, settings)
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        field = orbit if k % 2 else STATIC
+        t0 = float(rng.uniform(0.0, 50.0))
+        y0 = np.concatenate([rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)).ravel(),
+                             [float(rng.normal(0.0, 2.0))]])
+        for flat in (seek3d._full_rhs_flat, seek3d._transformed_rhs_flat):
+            runs = [
+                integrate(rhs, y0, t0, t0 + 20 * dt, settings, rotation_blocks=(3,), dt=dt)
+                for rhs in (
+                    lambda t, y: flat(t, y, PARAMS, field),
+                    lambda t, y: np.array(flat(t, y, PARAMS, field)),
+                )
+            ]
+            # 20 steps at stride 3: samples after steps 3, 6, ..., 18 and 20
+            assert len(runs[0]) == 8
+            assert runs[0].times[-1] - runs[0].times[-2] == pytest.approx(2 * dt)
+            assert np.array_equal(runs[0].times, runs[1].times)
+            assert np.array_equal(runs[0].states, runs[1].states)
+
+
+def test_rora_kernel_matches_rora_rhs():
+    # rora_rhs, the numpy form, is the oracle for the float kernel
+    orbit = signal_field("orbit")
+    rng = np.random.default_rng(32)
+    for k in range(200):
+        field = orbit if k % 2 else STATIC
+        p = rng.normal(0.0, 3.0, 3)
+        Q = rot_exp(rng.normal(size=3))
+        t = float(rng.uniform(0.0, 200.0))
+        dp, dQ, _ = rora_rhs(p, Q, t, field)
+        got = seek3d._rora_rates(p.tolist(), Q.ravel().tolist(), t, field)
+        assert all(type(v) is float for v in got)
+        assert np.all(np.abs(np.array(got[0:3]) - dp) <= 1e-12 * np.abs(dp).max())
+        assert got[3:12] == dQ.ravel().tolist()
 
 
 # --- embedding -------------------------------------------------------------------
