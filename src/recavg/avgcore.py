@@ -11,7 +11,9 @@ quadrature: the fast-time bracket term
 
 plus the plain mean of f2 with prefactor 1 / (T1 T2). The integrands are
 smooth and periodic, so each integral is the plain mean over n equispaced
-nodes per period (the periodic trapezoid rule). The Lie bracket convention
+nodes per period (the periodic trapezoid rule). The bracket term is taken by
+parts, as the mean of J (2 G - G(T2)) with G = int_0^tau f1 and J = D f1, so
+only f1's values need the spectral antiderivative. The Lie bracket convention
 is [u, v] = (Dv) u - (Du) v; both it and the placement of the 1/2 prefactor
 on the bracket term are pinned by the closed-form oracles in the test suite
 (sin/cos fields and the rigid-body gain matrix).
@@ -298,6 +300,16 @@ def _periodic_antiderivative(values, length: float) -> np.ndarray:
     return anti - anti[0] + _periodic_nodes(n, length).reshape(column) * values.mean(axis=0)
 
 
+def _antiderivative_to_end(values, length: float) -> np.ndarray:
+    """int_tau^T along axis 0 on the grid: P^T v = mean(P u) - P u + mean(tau v)
+    for P = _periodic_antiderivative and u = v less its sum at the first node."""
+    first = values.copy()
+    first[0] -= values.sum(axis=0)
+    anti = _periodic_antiderivative(first, length)
+    ramp = _periodic_nodes(values.shape[0], length).reshape((-1,) + (1,) * (values.ndim - 1))
+    return anti.mean(axis=0) - anti + (ramp * values).mean(axis=0)
+
+
 def _fd_step(x) -> float:
     return max(1e-6, 1e-6 * float(np.abs(x).max()))
 
@@ -345,7 +357,12 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
 def _averaged_value(sys: TwoScaleSystem, x, t, n, bracket_sign, swap_prefactors):
     """One pass of the averaged drift at (x, t) on an n x n periodic grid.
 
-    When neither field depends on sigma, one sigma node is exact.
+    The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
+    antiderivative int_0^tau (_periodic_antiderivative) and G = P f1, is
+    taken by parts: the tau-sum of (P J) f1 equals that of J (P^T f1), and
+    P^T f1 is int_tau^T f1, so J (G - P^T f1) = J (2 G - G(T)) needs no
+    antiderivative of J. When neither field depends on sigma, one sigma
+    node is exact.
     """
     f1, f2 = sys.f1, sys.f2
     taus = _periodic_nodes(n, f1.T2)
@@ -356,9 +373,8 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n, bracket_sign, swap_prefactors)
     mean = np.zeros(f1.dim)
     for sig in sigmas:
         vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
-        anti = _periodic_antiderivative(vals, f1.T2)
-        anti_jac = _periodic_antiderivative(jacs, f1.T2)
-        bracket += np.einsum("mij,mj->i", jacs, anti) - np.einsum("mij,mj->i", anti_jac, vals)
+        by_parts = _periodic_antiderivative(vals, f1.T2) - _antiderivative_to_end(vals, f1.T2)
+        bracket += np.einsum("mij,mj->i", jacs, by_parts)
         mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
     points = len(sigmas) * n
     bracket *= bracket_sign / points
@@ -587,20 +603,16 @@ def convergence_study(
     *,
     reference: AveragedSystem = None,
     reference_dt: float = None,
-    z0=None,
-    singular_mode: str = "reduced",
     sample_dt: float = None,
     workers: int = 1,
 ) -> ConvergenceReport:
     """Sup-error between the oscillatory system and its averaged limit per omega.
 
-    For a SingularSystem, singular_mode selects what is simulated against the
-    averaged reference: "reduced" pins the fast state to its quasi-steady
-    value z = phi(x, t) (the hypothesis class of the averaging error bound)
-    while "coupled" integrates the full slow/fast pair with the system's mu.
-    Errors are measured on the slow-state block only. The reference defaults
-    to the quadrature-built averaged system; passing a closed form avoids
-    re-quadrature at every reference step.
+    A SingularSystem is simulated with the fast state pinned to its
+    quasi-steady value z = phi(x, t), the hypothesis class of the averaging
+    error bound. Errors are measured on the slow-state block only. The
+    reference defaults to the quadrature-built averaged system; passing a
+    closed form avoids re-quadrature at every reference step.
     """
     omegas = [float(w) for w in omegas]
     if len(omegas) < 3:
@@ -611,8 +623,6 @@ def convergence_study(
         raise ValueError("omega values must be strictly increasing")
 
     is_singular = isinstance(system, SingularSystem)
-    if is_singular and singular_mode not in ("reduced", "coupled"):
-        raise ValueError(f"unknown singular_mode {singular_mode!r}")
     x0 = np.asarray(x0, dtype=float)
     n_slow = system.dim
     if sample_dt is None:
@@ -627,28 +637,13 @@ def convergence_study(
         reference, x0, t0, tf, settings, sample_dt=sample_dt, dt=reference_dt
     )
 
+    oscillatory = reduce_to_slow_manifold(system, validate=False) if is_singular else system
+
     def run_one(w):
-        if is_singular:
-            if singular_mode == "reduced":
-                sys_w = replace(
-                    reduce_to_slow_manifold(system, validate=False),
-                    omega=w,
-                    validate=False,
-                )
-                traj = simulate_two_scale(
-                    sys_w, x0, t0, tf, settings, sample_dt=sample_dt
-                )
-            else:
-                zinit = z0 if z0 is not None else system.phi(x0, t0)
-                traj = simulate_singular(
-                    replace(system, omega=w, validate=False),
-                    x0, zinit, t0, tf, settings, sample_dt=sample_dt,
-                )
-        else:
-            traj = simulate_two_scale(
-                replace(system, omega=w, validate=False),
-                x0, t0, tf, settings, sample_dt=sample_dt,
-            )
+        traj = simulate_two_scale(
+            replace(oscillatory, omega=w, validate=False),
+            x0, t0, tf, settings, sample_dt=sample_dt,
+        )
         if len(traj) != len(ref_traj):
             raise RuntimeError("sampling mismatch between run and reference")
         diff = traj.states[:, :n_slow] - ref_traj.states[:, :n_slow]

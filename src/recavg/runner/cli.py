@@ -3,7 +3,7 @@
 Subcommands: simulate, demo, sweep, verify, plot. Output lands under --out,
 or the RECAVG_OUT_ROOT environment variable, or ./out. Exit codes: 0 on
 success, 2 on configuration errors, 3 on numerical divergence, 4 on
-verification failure.
+verification failure, 5 when the averaging quadrature does not converge.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import math
 import os
 import sys
 
+from ..avgcore import QuadratureError
 from ..odeint import DivergenceError
 from .artifacts import read_csv, run_scenario
 from .config import ConfigError, load_config, parse_pi_value
@@ -22,6 +23,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
+EXIT_QUADRATURE = 5
+_ERROR_EXITS = {DivergenceError: EXIT_DIVERGED, QuadratureError: EXIT_QUADRATURE}
 
 OUT_ROOT_ENV = "RECAVG_OUT_ROOT"
 
@@ -171,15 +174,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (DivergenceError, QuadratureError, ValueError) as exc:
+        # ConfigError and every other ValueError report as configuration errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _ERROR_EXITS.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

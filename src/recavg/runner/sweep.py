@@ -62,7 +62,6 @@ def run_sweep(
         omegas,
         settings,
         reference=closed_form_reference(scenario.field),
-        singular_mode="reduced",
         sample_dt=sample_dt if sample_dt is not None else t_final / 400.0,
         workers=workers,
     )

@@ -37,8 +37,8 @@ class SeekParams:
     mu: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.omega <= 0 or self.mu <= 0:
-            raise ValueError("alpha, omega, mu must all be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.omega, self.mu)):
+            raise ValueError("alpha, omega, mu must all be finite and strictly positive")
 
     @property
     def sigma_period(self) -> float:
@@ -239,7 +239,7 @@ def _frame_vectors(z: float, sigma: float, tau: float, alpha: float):
 
     f = sqrt(2) R2(sigma) R1(tau, z) e1 and
     L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2), at scalar
-    arguments; _embedded_pieces is the same map over a tau grid.
+    arguments; _embedded_frame is the same map over a tau grid.
     """
     th = _SQRT2 * alpha * sigma
     c, s = math.cos(th), math.sin(th)
@@ -330,23 +330,31 @@ def _rora_rates(p, q, t, field) -> list:
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
-def _embedded_pieces(z: float, sigma: float, taus, alpha: float):
-    """f, d f/dz, L, d L/dz on a tau grid, all of shape (3, len(taus)).
+def _embedded_frame(z: float, sigma: float, taus, alpha: float):
+    """_frame_vectors's f and L on a tau grid, both of shape (3, len(taus))."""
+    th = _SQRT2 * alpha * sigma
+    c, s = math.cos(th), math.sin(th)
+    phi = np.asarray(taus) - z
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    f = np.array(_turn_in_plane(c, s, _SQRT2 * np.cos(phi), _SQRT2 * np.sin(phi)))
+    lam = np.array(_turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2)))
+    return f, lam
 
-    f and L are _frame_vectors's vectors. The heading and the roll axis
-    turn about e3 at angle rates 1 and 2 in tau - z, so their z-derivatives
-    are -hat(e3) and -2 hat(e3) applied to them, again in-plane vectors.
+
+def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
+    """d f/dz and d L/dz on a tau grid, both of shape (3, len(taus)).
+
+    The heading and the roll axis turn about e3 at angle rates 1 and 2 in
+    tau - z, so their z-derivatives are -hat(e3) and -2 hat(e3) applied to
+    f and L, again in-plane vectors.
     """
     th = _SQRT2 * alpha * sigma
     c, s = math.cos(th), math.sin(th)
     phi = np.asarray(taus) - z
-    cp, sp = np.cos(phi), np.sin(phi)
     c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    f = np.array(_turn_in_plane(c, s, _SQRT2 * cp, _SQRT2 * sp))
-    fz = np.array(_turn_in_plane(c, s, _SQRT2 * sp, -_SQRT2 * cp))
-    lam = np.array(_turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2)))
+    fz = np.array(_turn_in_plane(c, s, _SQRT2 * np.sin(phi), -_SQRT2 * np.cos(phi)))
     lamz = np.array(_turn_in_plane(c, s, 2.0 * alpha * (s2 - c2), -2.0 * alpha * (c2 + s2)))
-    return f, fz, lam, lamz
+    return fz, lamz
 
 
 def _embedded_rows(x, f, lam):
@@ -374,13 +382,13 @@ def embedded_field(params: SeekParams) -> SingularField:
     alpha = params.alpha
 
     def func(x, z, t, sigma, tau):
-        f, _, lam, _ = _embedded_pieces(float(z[0]), sigma, np.atleast_1d(tau), alpha)
+        f, lam = _embedded_frame(float(z[0]), sigma, np.atleast_1d(tau), alpha)
         out = _embedded_rows(np.asarray(x, float), f, lam)
         return out[0] if np.ndim(tau) == 0 else out
 
     def jac_x(x, z, t, sigma, tau):
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        f, _, lam, _ = _embedded_pieces(float(z[0]), sigma, taus, alpha)
+        f, lam = _embedded_frame(float(z[0]), sigma, taus, alpha)
         jac = np.zeros((taus.size, 12, 12))
         eye = np.eye(3)
         for i in range(3):
@@ -394,7 +402,7 @@ def embedded_field(params: SeekParams) -> SingularField:
         return jac[0] if np.ndim(tau) == 0 else jac
 
     def jac_z(x, z, t, sigma, tau):
-        _, fz, _, lamz = _embedded_pieces(float(z[0]), sigma, np.atleast_1d(tau), alpha)
+        fz, lamz = _embedded_frame_dz(float(z[0]), sigma, np.atleast_1d(tau), alpha)
         col = _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
         return col[0] if np.ndim(tau) == 0 else col
 

@@ -22,11 +22,14 @@ from recavg.avgcore import (
     SingularSystem,
     TwoScaleField,
     TwoScaleSystem,
+    _averaged_value,
+    _field_and_jac_on_grid,
     _periodic_antiderivative,
     average_fields,
     constant_field,
     convergence_study,
     lie_bracket,
+    reduce_to_slow_manifold,
     rora_reduce,
     simulate_averaged,
     simulate_singular,
@@ -272,6 +275,101 @@ def test_periodic_rule_converges_exponentially():
         exact = c * ramp + np.sin(3 * k0 * ramp) / (3 * k0)
         assert anti.shape == exact.shape
         assert np.abs(anti - exact).max() < 1e-14
+
+
+def two_antiderivative_value(sys, x, t, n):
+    """The averaged drift on an n x n grid with the bracket taken as it stands.
+
+    Both f1's values and its Jacobians get a spectral antiderivative; this is
+    the form the by-parts bracket replaced, kept as its oracle.
+    """
+    f1, f2 = sys.f1, sys.f2
+    taus = np.arange(n) * (f1.T2 / n)
+    sigmas = np.arange(n) * (f1.T1 / n) if f1.depends_sigma or f2.depends_sigma else [0.0]
+    bracket = np.zeros(f1.dim)
+    mean = np.zeros(f1.dim)
+    for sig in sigmas:
+        vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
+        anti = _periodic_antiderivative(vals, f1.T2)
+        anti_jac = _periodic_antiderivative(jacs, f1.T2)
+        bracket += np.einsum("mij,mj->i", jacs, anti) - np.einsum("mij,mj->i", anti_jac, vals)
+        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
+    points = len(sigmas) * n
+    return bracket / (2.0 * points) + mean / points
+
+
+def random_linear_system(seed, degree, with_mean=False):
+    """f1 = (1 + cos(sigma) / 2) sum_{k <= degree} (cos(k w tau) C_k + sin(k w tau) S_k) x.
+
+    Band-limited in tau of trigonometric degree `degree`, with T2 = 3 and
+    w = 2 pi / T2. with_mean adds B0 x + c, a nonzero tau-mean that only a
+    system built without validation accepts.
+    """
+    rng = np.random.default_rng(seed)
+    dim, w = 3, TWO_PI / 3.0
+    cos_c, sin_c = rng.normal(size=(2, degree, dim, dim))
+    b0 = rng.normal(size=(dim, dim)) if with_mean else np.zeros((dim, dim))
+    c = rng.normal(size=dim) if with_mean else np.zeros(dim)
+    k = np.arange(1, degree + 1)
+
+    def jac(x, t, sigma, tau):
+        phase = np.multiply.outer(np.atleast_1d(tau), k * w)
+        osc = np.einsum("mk,kij->mij", np.cos(phase), cos_c) + np.einsum(
+            "mk,kij->mij", np.sin(phase), sin_c
+        )
+        out = (1.0 + 0.5 * math.cos(sigma)) * osc + b0
+        return out[0] if np.ndim(tau) == 0 else out
+
+    def func(x, t, sigma, tau):
+        return jac(x, t, sigma, tau) @ x + c
+
+    field = TwoScaleField(dim=dim, func=func, T1=TWO_PI, T2=3.0, jac=jac, vectorized=True)
+    zero = constant_field(dim, TWO_PI, 3.0)
+    return TwoScaleSystem(f1=field, f2=zero, omega=1.0, validate=not with_mean)
+
+
+def reduced_embedded_system():
+    params = seek3d.SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1e-2)
+    ssys = seek3d.embedded_system(params, seek3d.signal_field("static"), validate=False)
+    return reduce_to_slow_manifold(ssys, validate=False)
+
+
+def embedded_probe(rng):
+    from recavg.geom3 import rot_exp
+
+    return seek3d.embed_columns(rng.normal(0.0, 2.0, 3), rot_exp(rng.normal(size=3)))
+
+
+def gaussian_probe(dim):
+    return lambda rng: rng.normal(size=dim)
+
+
+@pytest.mark.parametrize(
+    "make_sys, n, probe",
+    [
+        (reduced_embedded_system, 16, embedded_probe),
+        (reduced_embedded_system, 64, embedded_probe),
+        (sincos_system, 16, gaussian_probe(2)),
+        (lambda: sincos_system(with_jac=False), 16, gaussian_probe(2)),
+        (lambda: random_linear_system(41, degree=7), 16, gaussian_probe(3)),
+        (lambda: random_linear_system(42, degree=31), 64, gaussian_probe(3)),
+        (lambda: random_linear_system(43, degree=5, with_mean=True), 16, gaussian_probe(3)),
+        (lambda: random_linear_system(44, degree=12, with_mean=True), 64, gaussian_probe(3)),
+    ],
+    ids=[
+        "embedded-16", "embedded-64", "sincos", "sincos-fd",
+        "bandlimited-16", "bandlimited-64", "nonzero-mean-16", "nonzero-mean-64",
+    ],
+)
+def test_by_parts_bracket_matches_two_antiderivative_form(make_sys, n, probe):
+    sys = make_sys()
+    rng = np.random.default_rng(n)
+    for i in range(50):
+        x = probe(rng)
+        t = float(rng.normal())
+        want = two_antiderivative_value(sys, x, t, n)
+        got = _averaged_value(sys, x, t, n, 1, False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), i
 
 
 # --- simulation wrappers ------------------------------------------------------

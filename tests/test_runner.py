@@ -385,6 +385,29 @@ def test_cli_divergence_exit_code(tmp_path, monkeypatch, capsys):
     assert "t = 3.25" in capsys.readouterr().err
 
 
+def test_cli_quadrature_error_exit_code(monkeypatch, capsys):
+    from recavg.avgcore import QuadratureError
+    from recavg.runner import cli
+
+    def boom(**kwargs):
+        raise QuadratureError("quadrature did not converge to 1e-09 within 4 refinements")
+
+    monkeypatch.setattr(cli, "verify_averaging", boom)
+    assert main(["verify"]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: quadrature did not converge to 1e-09 within 4 refinements\n"
+
+
+@pytest.mark.parametrize("name, value", [("mu", "nan"), ("alpha", "inf"), ("alpha", "-inf")])
+def test_cli_non_finite_params_rejected(tmp_path, capsys, name, value):
+    params = {"alpha": 0.125, "omega": "4pi", "mu": 1.0 / (16.0 * math.pi**2), name: value}
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", short_config(tmp_path, params=params), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "params: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- verification --------------------------------------------------------------------------
 
 def test_verify_passes():

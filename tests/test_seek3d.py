@@ -359,6 +359,58 @@ def test_embedded_jacobians_match_finite_differences():
     assert np.abs(jz[:, 0] - fdz).max() < 1e-8
 
 
+def reference_embedded_pieces(z, sigma, taus, alpha):
+    """f, d f/dz, L, d L/dz on a tau grid: the four-piece form the callbacks replaced."""
+    th = math.sqrt(2.0) * alpha * sigma
+    c, s = math.cos(th), math.sin(th)
+    phi = np.asarray(taus) - z
+    cp, sp = np.cos(phi), np.sin(phi)
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    turn = seek3d._turn_in_plane
+    f = np.array(turn(c, s, math.sqrt(2.0) * cp, math.sqrt(2.0) * sp))
+    fz = np.array(turn(c, s, math.sqrt(2.0) * sp, -math.sqrt(2.0) * cp))
+    lam = np.array(turn(c, s, alpha * (c2 + s2), alpha * (s2 - c2)))
+    lamz = np.array(turn(c, s, 2.0 * alpha * (s2 - c2), -2.0 * alpha * (c2 + s2)))
+    return f, fz, lam, lamz
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+def test_embedded_frame_helpers_match_four_piece_reference():
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        alpha = float(rng.uniform(0.05, 2.0))
+        z = float(rng.normal(0.0, 3.0))
+        sigma = float(rng.uniform(-50.0, 50.0))
+        taus = rng.uniform(-20.0, 20.0, int(rng.integers(1, 130)))
+        f, fz, lam, lamz = reference_embedded_pieces(z, sigma, taus, alpha)
+        got_f, got_lam = seek3d._embedded_frame(z, sigma, taus, alpha)
+        got_fz, got_lamz = seek3d._embedded_frame_dz(z, sigma, taus, alpha)
+        for got, want in ((got_f, f), (got_lam, lam), (got_fz, fz), (got_lamz, lamz)):
+            assert got.shape == want.shape == (3, taus.size)
+            assert _close(got, want), i
+
+
+def test_embedded_callbacks_match_four_piece_reference():
+    rng = np.random.default_rng(32)
+    for i in range(200):
+        params = SeekParams(alpha=float(rng.uniform(0.05, 2.0)), omega=1.0, mu=1.0)
+        f1 = embedded_field(params)
+        x = rng.normal(size=12)
+        z = np.array([rng.normal(0.0, 3.0)])
+        sigma = float(rng.uniform(-50.0, 50.0))
+        taus = rng.uniform(-20.0, 20.0, 9)
+        f, fz, lam, lamz = reference_embedded_pieces(float(z[0]), sigma, taus, params.alpha)
+        rows = seek3d._embedded_rows(x, f, lam)
+        assert _close(f1.func(x, z, 0.0, sigma, taus), rows), i
+        assert _close(f1.func(x, z, 0.0, sigma, float(taus[0])), rows[0]), i
+        assert _close(f1.jac_x(x, z, 0.0, sigma, taus) @ x, rows), i
+        assert _close(f1.jac_z(x, z, 0.0, sigma, taus)[:, :, 0],
+                      seek3d._embedded_rows(x, fz, lamz)), i
+
+
 def test_embedded_simulation_preserves_manifold():
     from recavg.avgcore import simulate_singular
 
@@ -466,3 +518,11 @@ def test_seek_params_validation():
         SeekParams(alpha=1.0, omega=-1.0, mu=1.0)
     with pytest.raises(ValueError):
         SeekParams(alpha=1.0, omega=1.0, mu=0.0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "omega", "mu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_seek_params_reject_non_finite(name, bad):
+    values = {"alpha": 1.0, "omega": 1.0, "mu": 1.0, name: bad}
+    with pytest.raises(ValueError, match="finite"):
+        SeekParams(**values)
