@@ -513,12 +513,10 @@ def simulate_two_scale(
     settings: IntegratorSettings = IntegratorSettings(),
     *,
     sample_dt: float = None,
-    rotation_blocks: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate dx/dt = sqrt(w) f1 + f2 over [t0, t0 + tf] with anchored phases."""
     return integrate(
         _two_scale_rhs(sys, t0), x0, t0, t0 + tf, settings,
-        rotation_blocks=rotation_blocks,
         fastest_period=_fastest_period(sys.f1.T1, sys.f1.T2, sys.omega),
         sample_dt=sample_dt,
     )
@@ -574,18 +572,15 @@ def simulate_averaged(
     settings: IntegratorSettings = IntegratorSettings(),
     *,
     sample_dt: float = None,
-    dt: float = None,
-    rotation_blocks: Sequence[int] = (),
 ) -> Trajectory:
     """Integrate the averaged drift dx/dt = asys(x, t).
 
-    Averaged fields are order-one by construction, so the default step is
+    Averaged fields are order-one by construction, so the step is
     1 / steps_per_period time units.
     """
-    step = dt if dt is not None else 1.0 / settings.steps_per_period
     return integrate(
         lambda t, x: asys(x, t), x0, t0, t0 + tf, settings,
-        rotation_blocks=rotation_blocks, dt=step, sample_dt=sample_dt,
+        dt=1.0 / settings.steps_per_period, sample_dt=sample_dt,
     )
 
 
@@ -602,17 +597,16 @@ def convergence_study(
     quad: QuadratureSettings = QuadratureSettings(),
     *,
     reference: AveragedSystem = None,
-    reference_dt: float = None,
-    sample_dt: float = None,
     workers: int = 1,
 ) -> ConvergenceReport:
     """Sup-error between the oscillatory system and its averaged limit per omega.
 
     A SingularSystem is simulated with the fast state pinned to its
     quasi-steady value z = phi(x, t), the hypothesis class of the averaging
-    error bound. Errors are measured on the slow-state block only. The
-    reference defaults to the quadrature-built averaged system; passing a
-    closed form avoids re-quadrature at every reference step.
+    error bound. Errors are measured on the slow-state block only, at 400
+    equal sample intervals of [t0, t0 + tf]. The reference defaults to the
+    quadrature-built averaged system; passing a closed form avoids
+    re-quadrature at every reference step.
     """
     omegas = [float(w) for w in omegas]
     if len(omegas) < 3:
@@ -625,17 +619,14 @@ def convergence_study(
     is_singular = isinstance(system, SingularSystem)
     x0 = np.asarray(x0, dtype=float)
     n_slow = system.dim
-    if sample_dt is None:
-        sample_dt = tf / 400.0
+    sample_dt = tf / 400.0
 
     if reference is None:
         if is_singular:
             reference = rora_reduce(system, quad)
         else:
             reference = average_fields(system, quad)
-    ref_traj = simulate_averaged(
-        reference, x0, t0, tf, settings, sample_dt=sample_dt, dt=reference_dt
-    )
+    ref_traj = simulate_averaged(reference, x0, t0, tf, settings, sample_dt=sample_dt)
 
     oscillatory = reduce_to_slow_manifold(system, validate=False) if is_singular else system
 

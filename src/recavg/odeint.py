@@ -108,7 +108,7 @@ def _sample_plan(t0, dt, n_steps, every):
     return steps, times
 
 
-def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks=()):
+def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks):
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("state must be a flat vector")
@@ -117,42 +117,19 @@ def _rk4_run(rhs, x0, t0, dt, n_steps, every, projected_blocks=()):
     states = np.empty((len(times), x.shape[0]))
     states[0] = x
     k1 = rhs(t0, x)
-    if isinstance(k1, list):
-        # float path: one state of Python floats; np.float64 entries from
-        # the first call on the array would otherwise spread through it
-        x, k1 = x.tolist(), [float(v) for v in k1]
-        run = _float_steps
-    else:
-        run = _array_steps
-    run(rhs, x, k1, t0, dt, n_steps, iter(steps), states, projected_blocks)
-    return Trajectory(np.array(times), states)
-
-
-def _array_steps(rhs, x, k1, t0, dt, n_steps, due, states, projected_blocks):
+    if not isinstance(k1, list):
+        # an array rhs keeps receiving arrays; the loop sees lists, and
+        # float64 arithmetic gives the same bits on either
+        array_rhs = rhs
+        rhs = lambda t, y: np.asarray(array_rhs(t, np.array(y)), dtype=float).tolist()
+    # one state of Python floats; np.float64 entries from the first call on
+    # the array would otherwise spread through the loop
+    x, k1 = x.tolist(), [float(v) for v in k1]
+    if len(k1) != len(x):
+        raise ValueError(f"rhs returned {len(k1)} values for a state of {len(x)}")
     half = 0.5 * dt
     sixth = dt / 6.0
-    row, sample = 1, next(due, 0)
-    for k in range(n_steps):
-        t = t0 + k * dt
-        if k:
-            k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(x).all():
-            raise DivergenceError(t0 + (k + 1) * dt)
-        for start in projected_blocks:
-            x[start : start + 9] = project_so3_unchecked(x[start : start + 9].tolist())
-        if k + 1 == sample:
-            states[row] = x
-            row, sample = row + 1, next(due, 0)
-
-
-def _float_steps(rhs, x, k1, t0, dt, n_steps, due, states, projected_blocks):
-    """_array_steps on lists of floats, element by element in the same order."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    due = iter(steps)
     row, sample = 1, next(due, 0)
     for k in range(n_steps):
         t = t0 + k * dt
@@ -172,6 +149,7 @@ def _float_steps(rhs, x, k1, t0, dt, n_steps, due, states, projected_blocks):
         if k + 1 == sample:
             states[row] = x
             row, sample = row + 1, next(due, 0)
+    return Trajectory(np.array(times), states)
 
 
 def integrate(
@@ -191,10 +169,11 @@ def integrate(
     The nominal step is fastest_period / steps_per_period (or an explicit
     dt). Identical inputs produce bit-identical outputs.
 
-    The first call receives x0 as an array. An rhs that returns an array
-    keeps receiving arrays; one that returns a list of floats receives the
-    state as a list of floats from then on, and the stages are summed
-    element by element in the same order, so both give the same trajectory.
+    One loop takes the steps on a list of Python floats. The first call
+    receives x0 as an array. An rhs that returns a list of floats receives
+    the state as a list of floats from then on; one that returns an array
+    keeps receiving arrays, converted at the call, and gives the same
+    trajectory as its list twin.
 
     rotation_blocks is a list of start offsets; block i occupies coordinates
     [start, start + 9) holding a row-major rotation matrix. Each block must

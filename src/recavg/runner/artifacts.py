@@ -82,38 +82,38 @@ def _so3_drift(traj: Trajectory) -> float:
     return float(np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(3)).max())
 
 
-def run_representations(scenario: Scenario, t0: float = 0.0):
-    """Integrate every requested representation on the shared sample grid."""
+def run_representations(scenario: Scenario):
+    """Integrate every requested representation from t = 0 on the shared sample grid."""
     params = scenario.params
-    z0 = scenario.initial_z(t0)
-    Q0 = initial_Q(scenario.R0, z0, t0, params)
+    z0 = scenario.initial_z(0.0)
+    Q0 = initial_Q(scenario.R0, z0, 0.0, params)
     sample_dt = scenario.sample_dt
     out = {}
     for rep in scenario.representations:
         if rep == "full":
             out[rep] = full_trajectory(
                 params, scenario.field, scenario.p0, scenario.R0, z0,
-                t0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
+                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
             )
         elif rep == "transformed":
             out[rep] = transformed_trajectory(
                 params, scenario.field, scenario.p0, Q0, z0,
-                t0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
+                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
             )
         elif rep == "rora":
             out[rep] = rora_trajectory(
                 params, scenario.field, scenario.p0, Q0,
-                t0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
+                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
             )
         else:
             raise ValueError(f"unknown representation {rep!r}")
     return out
 
 
-def run_scenario(scenario: Scenario, out_dir, t0: float = 0.0, plots: bool = True) -> RunArtifacts:
-    """Run a scenario, write CSVs, comparisons, summary, and optionally SVGs."""
+def run_scenario(scenario: Scenario, out_dir, plots: bool = True) -> RunArtifacts:
+    """Run a scenario from t = 0, write CSVs, comparisons, summary, and optionally SVGs."""
     os.makedirs(out_dir, exist_ok=True)
-    trajectories = run_representations(scenario, t0)
+    trajectories = run_representations(scenario)
     field = scenario.field
 
     csv_paths, tables = {}, {}

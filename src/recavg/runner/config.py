@@ -69,9 +69,12 @@ class Scenario:
     @property
     def sample_dt(self) -> float:
         """Shared sampling interval for every representation of this scenario."""
-        spp = self.integrator.steps_per_period
-        stride = self.integrator.sample_stride
-        return stride * self.params.tau_period / self.params.omega / spp
+        return _sample_interval(self.params, self.integrator)
+
+
+def _sample_interval(params: SeekParams, integrator: IntegratorSettings) -> float:
+    stride, spp = integrator.sample_stride, integrator.steps_per_period
+    return stride * params.tau_period / params.omega / spp
 
 
 def _collect(errors, where, fn):
@@ -79,9 +82,16 @@ def _collect(errors, where, fn):
         return fn()
     except ConfigError as exc:
         errors.append(str(exc))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         errors.append(f"{where}: {exc}")
     return None
+
+
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
+    return out
 
 
 def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
@@ -132,9 +142,9 @@ def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
 
     z0 = doc.get("z0", "slow-manifold")
     if z0 != "slow-manifold":
-        z0 = _collect(errors, "z0", lambda: float(z0))
+        z0 = _collect(errors, "z0", lambda: _finite(z0))
 
-    t_final = _collect(errors, "t_final", lambda: float(doc.get("t_final")))
+    t_final = _collect(errors, "t_final", lambda: _finite(doc.get("t_final")))
     if t_final is not None and t_final <= 0:
         errors.append("t_final: must be positive")
 
@@ -143,15 +153,27 @@ def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
     if not isinstance(idoc, dict):
         errors.append("integrator: must be an object")
     else:
-        integrator = _collect(
-            errors,
-            "integrator",
-            lambda: IntegratorSettings(
-                steps_per_period=int(idoc.get("steps_per_period", 64)),
-                projection=bool(idoc.get("projection", True)),
-                sample_stride=int(idoc.get("sample_stride", 1)),
-            ),
+        spp = _collect(
+            errors, "integrator.steps_per_period", lambda: int(idoc.get("steps_per_period", 64))
         )
+        stride = _collect(
+            errors, "integrator.sample_stride", lambda: int(idoc.get("sample_stride", 1))
+        )
+        if None not in (spp, stride):
+            integrator = _collect(
+                errors,
+                "integrator",
+                lambda: IntegratorSettings(
+                    steps_per_period=spp,
+                    projection=bool(idoc.get("projection", True)),
+                    sample_stride=stride,
+                ),
+            )
+
+    if params is not None and integrator is not None:
+        interval = _collect(errors, "integrator", lambda: _sample_interval(params, integrator))
+        if interval is not None and not 0.0 < interval < math.inf:
+            errors.append(f"integrator: the sample interval {interval!r} is not finite and > 0")
 
     reps = doc.get("representations", list(REPRESENTATIONS))
     if (

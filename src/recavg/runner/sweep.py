@@ -38,18 +38,18 @@ def run_sweep(
     out_dir=None,
     *,
     t_final: float = 20.0,
-    settings: IntegratorSettings = None,
-    sample_dt: float = None,
-    workers: int = 4,
+    workers: int = 1,
 ) -> ConvergenceReport:
-    """Sweep the scenario over the given frequencies against the averaged flow."""
+    """Sweep the scenario over the given frequencies against the averaged flow.
+
+    Each run uses the scenario's steps per period and projection flag, and
+    is sampled at 400 equal intervals of [0, t_final].
+    """
     params = scenario.params
-    if settings is None:
-        settings = IntegratorSettings(
-            steps_per_period=scenario.integrator.steps_per_period,
-            projection=scenario.integrator.projection,
-            sample_stride=1,
-        )
+    settings = IntegratorSettings(
+        steps_per_period=scenario.integrator.steps_per_period,
+        projection=scenario.integrator.projection,
+    )
     z0 = scenario.initial_z(0.0)
     Q0 = seek3d.initial_Q(scenario.R0, z0, 0.0, params)
     x0 = seek3d.embed_columns(scenario.p0, Q0)
@@ -62,7 +62,6 @@ def run_sweep(
         omegas,
         settings,
         reference=closed_form_reference(scenario.field),
-        sample_dt=sample_dt if sample_dt is not None else t_final / 400.0,
         workers=workers,
     )
     if out_dir is not None:

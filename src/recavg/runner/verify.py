@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import avgcore, seek3d
-from ..avgcore import QuadratureSettings, TwoScaleField, TwoScaleSystem
+from ..avgcore import TwoScaleField, TwoScaleSystem
 
 A_TOL = 1e-6
 ROT_TOL = 1e-8
@@ -85,7 +85,6 @@ def verify_averaging(
     *,
     flip_bracket: bool = False,
     swap_prefactors: bool = False,
-    quad: QuadratureSettings = QuadratureSettings(),
     n_probes: int = 24,
     seed: int = 7,
 ) -> VerificationReport:
@@ -96,7 +95,6 @@ def verify_averaging(
     )
     a_matrix, rot_res, _ = seek3d.compute_A_numeric(
         params,
-        quad=quad,
         n_probes=n_probes,
         seed=seed,
         bracket_sign=sign,
@@ -106,7 +104,6 @@ def verify_averaging(
 
     averaged = avgcore.average_fields(
         sincos_test_system(),
-        quad,
         bracket_sign=sign,
         swap_prefactors=swap_prefactors,
     )

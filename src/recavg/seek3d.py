@@ -21,11 +21,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import avgcore
-from .avgcore import QuadratureSettings, SingularField, SingularSystem
+from .avgcore import SingularField, SingularSystem
 from .geom3 import as_mat3, as_vec3, rot_exp, rot_z
 from .odeint import IntegratorSettings, Trajectory, integrate
 
 AVERAGED_GAIN = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]) / 4.0
+# largest per-equation mismatch compute_A_numeric accepts in its linear fit
+_FIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,13 @@ def signal_field(kind: str, **params) -> SignalField:
         (r sin(a t), r cos(a t), h cos(b t))
     with radius r (`radius`, default 2), rate a (`rate`, default 0.05),
     vertical amplitude h (`height`, default 2) and rate b (`vertical_rate`,
-    default 0.1).
+    default 0.1). Every parameter, and `kappa` when given, must be finite.
     """
     kappa = params.pop("kappa", None)
+    if kappa is not None:
+        kappa = float(kappa)
+        if not math.isfinite(kappa):
+            raise ValueError(f"kappa must be finite, got {kappa!r}")
     if kind == "static":
         center = as_vec3(params.pop("center", np.zeros(3)))
         if params:
@@ -84,6 +90,8 @@ def signal_field(kind: str, **params) -> SignalField:
         b = float(params.pop("vertical_rate", 0.1))
         if params:
             raise ValueError(f"unknown parameters for orbit field: {sorted(params)}")
+        if not all(map(math.isfinite, (r, a, h, b))):
+            raise ValueError("orbit radius, rates and height must be finite")
 
         def source(t):
             return np.array([r * math.sin(a * t), r * math.cos(a * t), h * math.cos(b * t)])
@@ -473,31 +481,29 @@ def embedded_system(
 
 def compute_A_numeric(
     params: SeekParams,
-    field: SignalField = None,
-    quad: QuadratureSettings = QuadratureSettings(),
     *,
     n_probes: int = 24,
     seed: int = 7,
-    fit_tol: float = 1e-6,
     bracket_sign: int = 1,
     swap_prefactors: bool = False,
 ):
     """Recover the averaged gain matrix from the generic averaging engine.
 
-    Evaluates the reduced averaged field at random (p, Q) probes and solves
-    the overdetermined linear system  Q^T v_translation = A (Q^T grad c)
-    for the constant matrix A. Returns (A, rotation_residual, fit_residual)
-    where rotation_residual is the largest averaged rotation-row entry seen
-    (the averaged frame must be stationary) and fit_residual the worst
-    per-equation mismatch of the linear fit. A fit residual above fit_tol
-    means the averaged translation is not of the assumed form, which signals
-    a convention error upstream; that raises ArithmeticError.
+    Averages the embedded system of the static log-family field with the
+    default quadrature settings, evaluates the reduced averaged field at
+    random (p, Q) probes and solves the overdetermined linear system
+    Q^T v_translation = A (Q^T grad c) for the constant matrix A. Returns
+    (A, rotation_residual, fit_residual) where rotation_residual is the
+    largest averaged rotation-row entry seen (the averaged frame must be
+    stationary) and fit_residual the worst per-equation mismatch of the
+    linear fit. A fit residual above 1e-6 means the averaged translation is
+    not of the assumed form, which signals a convention error upstream;
+    that raises ArithmeticError.
     """
-    if field is None:
-        field = signal_field("static")
+    field = signal_field("static")
     ssys = embedded_system(params, field, validate=False)
     averaged = avgcore.rora_reduce(
-        ssys, quad, bracket_sign=bracket_sign, swap_prefactors=swap_prefactors
+        ssys, bracket_sign=bracket_sign, swap_prefactors=swap_prefactors
     )
     rng = np.random.default_rng(seed)
     rows, rhs = [], []
@@ -519,7 +525,7 @@ def compute_A_numeric(
     rhs = np.array(rhs)
     coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     fit_residual = float(np.abs(rows @ coeffs - rhs).max())
-    if fit_residual > fit_tol:
+    if fit_residual > _FIT_TOL:
         raise ArithmeticError(
             "averaged translation drift does not fit the Q A Q^T grad c form "
             f"(residual {fit_residual:.3e}); averaging conventions are inconsistent"
@@ -590,17 +596,15 @@ def rora_trajectory(
     settings: IntegratorSettings = IntegratorSettings(),
     *,
     sample_dt: float = None,
-    dt: float = None,
 ) -> Trajectory:
     """Integrate the closed-form averaged flow; states are [p, Q rows].
 
     The averaged frame is constant by construction, so the rotation block
-    needs no projection; the drift is order-one and integrates on the
-    1 / steps_per_period default step.
+    needs no projection; the drift is order-one and integrates on a
+    1 / steps_per_period step.
     """
     y0 = np.concatenate([as_vec3(p0), as_mat3(Q0).ravel()])
-    step = dt if dt is not None else 1.0 / settings.steps_per_period
     return integrate(
         lambda t, y: _rora_rates(y[0:3], y[3:12], t, field), y0, t0, t0 + tf, settings,
-        dt=step, sample_dt=sample_dt,
+        dt=1.0 / settings.steps_per_period, sample_dt=sample_dt,
     )

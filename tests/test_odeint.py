@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from recavg.geom3 import E3, hat, so3_defect
+from recavg.geom3 import E3, hat, rot_exp, so3_defect
 from recavg.odeint import (
     DivergenceError,
     IntegratorSettings,
@@ -13,6 +13,8 @@ from recavg.odeint import (
     integrate,
     integrate_projected,
 )
+
+from rk4_oracle import numpy_integrate
 
 
 def circle_rhs(t, x):
@@ -59,6 +61,89 @@ def test_fourth_order_convergence():
         errs.append(np.linalg.norm(end - ref))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
+
+
+def test_rk4_order_closed_form():
+    # x' = M x with M = [[-a, b], [-b, -a]] has x(t) = e^(-a t) rot(-b t) x0;
+    # halving dt must divide the final error by 2^4
+    a, b, tf = 0.3, 2.0, 2.0
+    x0 = np.array([1.0, 0.5])
+    M = np.array([[-a, b], [-b, -a]])
+    c, s = math.cos(b * tf), math.sin(b * tf)
+    exact = math.exp(-a * tf) * np.array([[c, s], [-s, c]]) @ x0
+    errors = []
+    for dt in (0.05, 0.025):
+        runs = [
+            integrate(rhs, x0, 0.0, tf, IntegratorSettings(), dt=dt)
+            for rhs in (lambda t, x: M @ x, lambda t, x: (M @ np.array(x)).tolist())
+        ]
+        assert np.array_equal(runs[0].states, runs[1].states)
+        errors.append(float(np.linalg.norm(runs[0].final_state - exact)))
+    assert errors[0] / errors[1] == pytest.approx(16.0, abs=2.0)
+
+
+def _seeded_case(rng, kind):
+    """A 13-dim (p, R, z) system with a rotation block at offset 3.
+
+    kind "smooth" stays finite; "blowup" adds gain * z^2 to dz, which blows
+    up near a fifth of the horizon; "nan" turns one rotation entry of the
+    rhs to NaN after a random time. The rhs tolerates non-finite stages.
+    """
+    A = rng.normal(0.0, 1.0, (3, 3))
+    w0, c = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3)
+    dt = float(rng.uniform(0.005, 0.05))
+    n_steps = int(rng.integers(10, 60))
+    t0 = float(rng.uniform(-5.0, 5.0))
+    z0 = float(rng.uniform(1.0, 2.0))
+    gain = 5.0 / (z0 * n_steps * dt) if kind == "blowup" else 0.0
+    t_nan = t0 + float(rng.uniform(0.2, 0.8)) * n_steps * dt
+    entry = 3 + int(rng.integers(0, 9))
+
+    def rhs(t, y):
+        p, R, z = y[0:3], y[3:12].reshape(3, 3), y[12]
+        w = w0 * np.cos(t) + np.tanh(p)
+        W = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        dp = 0.1 * (R @ (A @ p)) + c * np.sin(z + t)
+        dz = -z + p @ p / (1.0 + p @ p) + gain * z * z
+        out = np.concatenate([dp, (R @ W).ravel(), [dz]])
+        if kind == "nan" and t > t_nan:
+            out[entry] = np.nan
+        return out
+
+    y0 = np.concatenate([rng.normal(0.0, 1.0, 3), rot_exp(rng.normal(size=3)).ravel(), [z0]])
+    settings = IntegratorSettings(sample_stride=int(rng.integers(1, 5)))
+    horizon = n_steps * dt
+    sample_dt = horizon / int(rng.integers(2, 8)) if rng.integers(0, 2) else None
+    args = (y0, t0, t0 + horizon, settings)
+    kwargs = dict(rotation_blocks=(3,), dt=dt, sample_dt=sample_dt)
+    return rhs, args, kwargs
+
+
+def _outcome(run, rhs, args, kwargs):
+    try:
+        traj = run(rhs, *args, **kwargs)
+    except DivergenceError as exc:
+        return ("diverged", exc.time)
+    return ("ok", traj.times.tobytes(), traj.states.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_matches_numpy_oracle():
+    # integrate's float loop against the numpy oracle, on array and list
+    # right-hand sides, bit for bit, divergence times included
+    rng = np.random.default_rng(90)
+    kinds = ("smooth", "blowup", "nan") * 8
+    for kind in kinds:
+        rhs, args, kwargs = _seeded_case(rng, kind)
+        want = _outcome(numpy_integrate, rhs, args, kwargs)
+        assert want[0] == ("ok" if kind == "smooth" else "diverged")
+        for twin in (rhs, lambda t, y: rhs(t, np.array(y)).tolist()):
+            assert _outcome(integrate, twin, args, kwargs) == want
+
+
+def test_rhs_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="rhs returned 1 values for a state of 3"):
+        integrate(lambda t, x: [0.0], np.zeros(3), 0.0, 1.0, IntegratorSettings(), dt=0.1)
 
 
 def test_determinism_bit_identical():
@@ -121,7 +206,7 @@ def test_projected_divergence_reported_with_time():
 
 
 def test_list_rhs_divergence_matches_array_twin():
-    # the float path checks finiteness before projecting, as the array path does
+    # finiteness is checked before projecting, for a list rhs and its array twin
     def turns_nan(t, x):
         return [0.0] * 4 + [math.nan if t > 0.05 else 0.0] + [0.0] * 5
 

@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recavg.runner import (
     ConfigError,
@@ -15,6 +17,7 @@ from recavg.runner import (
     parse_pi_value,
     run_scenario,
     run_sweep,
+    scenario_from_dict,
     verify_averaging,
 )
 from recavg.runner.artifacts import read_csv, write_csv
@@ -82,6 +85,98 @@ def test_invalid_configs_list_fields(tmp_path):
         load_config(short_config(tmp_path, schema_version=99))
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config(short_config(tmp_path, extra_knob=1))
+    for key, value, field in NON_FINITE_CONFIGS:
+        with pytest.raises(ConfigError, match=field):
+            load_config(short_config(tmp_path, **{key: value}))
+
+
+# (key, value, the field the error line must name); 1e400 reads as inf
+NON_FINITE_CONFIGS = [
+    ("t_final", "inf", "t_final: 'inf' is not a finite number"),
+    ("t_final", 10**400, "t_final: "),
+    ("z0", "nan", "z0: 'nan' is not a finite number"),
+    ("integrator", {"steps_per_period": 1e400}, "integrator.steps_per_period: "),
+    ("integrator", {"sample_stride": float("nan")}, "integrator.sample_stride: "),
+    ("params", {"alpha": 0.125, "omega": 10**400, "mu": 1.0}, "params.omega: "),
+    ("integrator", {"steps_per_period": 10**400}, "integrator: "),
+    ("field", {"kind": "orbit", "radius": "nan"}, "field: orbit radius"),
+    ("field", {"kind": "static", "kappa": float("inf")}, "field: kappa must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, field", NON_FINITE_CONFIGS, ids=[f.split(":")[0] for _, _, f in NON_FINITE_CONFIGS]
+)
+def test_cli_non_finite_config_values_rejected(tmp_path, capsys, key, value, field):
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", short_config(tmp_path, **{key: value}), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e400pi", "4pi", "0.5", "-3", "", "abc",
+                     "slow-manifold", "static", "orbit", "full", "rora"]),
+    st.text(max_size=6),
+)
+
+
+def _json_containers(kids):
+    return st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4)
+
+
+_JSON = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=8)
+_VALID_DOC = {
+    "schema_version": 1,
+    "name": "fuzz",
+    "params": {"alpha": 0.125, "omega": "4pi", "mu": 0.0063},
+    "field": {"kind": "orbit", "radius": 2.0, "rate": 0.05, "height": 2.0, "vertical_rate": 0.1,
+              "kappa": 30.0},
+    "p0": [-2.0, -2.0, 6.0],
+    "R0": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "z0": 0.5,
+    "t_final": 2.0,
+    "integrator": {"steps_per_period": 64, "projection": True, "sample_stride": 8},
+    "representations": ["full", "rora"],
+}
+# every key of the valid document, nested ones as (key, subkey), plus two it lacks
+_PATHS = [(k,) for k in _VALID_DOC] + [
+    (k, sub) for k, v in _VALID_DOC.items() if isinstance(v, dict) for sub in v
+] + [("extra",), ("field", "center")]
+
+
+@st.composite
+def _config_docs(draw):
+    """The valid document with up to four keys dropped or set to any JSON value."""
+    doc = json.loads(json.dumps(_VALID_DOC))
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=4)):
+        parent = doc if len(path) == 1 else doc.get(path[0])
+        if not isinstance(parent, dict):
+            continue
+        if draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=_config_docs() | _JSON)
+def test_config_fuzz_only_config_error_escapes(doc):
+    try:
+        sc = scenario_from_dict(doc)
+    except ConfigError:
+        return
+    assert math.isfinite(sc.t_final) and sc.t_final > 0
+    assert sc.z0 == "slow-manifold" or math.isfinite(sc.z0)
+    assert math.isfinite(sc.sample_dt) and sc.sample_dt > 0
+    assert sc.field.kappa is None or math.isfinite(sc.field.kappa)
+    assert np.isfinite(sc.field.source(1.0)).all()
 
 
 def test_multiple_errors_reported_together(tmp_path):
@@ -262,7 +357,7 @@ def test_cli_sweep_rejects_bad_t_final(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_sup_errors_pinned():
-    # the array path of the integrator on the embedded reduced system
+    # an array rhs through integrate's list adapter, on the embedded reduced system
     report = run_sweep(built_in("ex1"), [4 * math.pi, 16 * math.pi, 64 * math.pi], None,
                        t_final=1.0, workers=1)
     expected = (0.8038151863536257, 0.41297483997029594, 0.20858332603642268)

@@ -34,6 +34,8 @@ from recavg.seek3d import (
     transformed_trajectory,
 )
 
+from rk4_oracle import numpy_integrate
+
 PARAMS = SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2))
 STATIC = signal_field("static")
 P0 = np.array([-2.0, -2.0, 6.0])
@@ -262,8 +264,8 @@ def test_reconstruct_R_batch_matches_rows():
 
 
 def test_float_path_matches_array_path():
-    # the list kernels run _rk4_run's float path; wrapped in np.array they run
-    # its array path, which must give the same trajectory bit for bit
+    # the list kernels through integrate's float loop, and the same kernels
+    # wrapped in np.array through the numpy oracle, must agree bit for bit
     orbit = signal_field("orbit")
     settings = IntegratorSettings(steps_per_period=64, projection=True, sample_stride=3)
     dt = seek3d._seek_dt(PARAMS, settings)
@@ -275,10 +277,10 @@ def test_float_path_matches_array_path():
                              [float(rng.normal(0.0, 2.0))]])
         for flat in (seek3d._full_rhs_flat, seek3d._transformed_rhs_flat):
             runs = [
-                integrate(rhs, y0, t0, t0 + 20 * dt, settings, rotation_blocks=(3,), dt=dt)
-                for rhs in (
-                    lambda t, y: flat(t, y, PARAMS, field),
-                    lambda t, y: np.array(flat(t, y, PARAMS, field)),
+                run(rhs, y0, t0, t0 + 20 * dt, settings, rotation_blocks=(3,), dt=dt)
+                for run, rhs in (
+                    (integrate, lambda t, y: flat(t, y, PARAMS, field)),
+                    (numpy_integrate, lambda t, y: np.array(flat(t, y, PARAMS, field))),
                 )
             ]
             # 20 steps at stride 3: samples after steps 3, 6, ..., 18 and 20
