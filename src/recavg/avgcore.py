@@ -24,13 +24,12 @@ quasi-steady-state z = phi(x) before averaging.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .odeint import IntegratorSettings, Trajectory, integrate
+from .odeint import IntegratorSettings, Trajectory, _plan_steps, integrate
 
 _CHECK_SEED = 20260810
 _ASSUMPTION_TOL = 1e-7
@@ -620,6 +619,12 @@ def convergence_study(
     x0 = np.asarray(x0, dtype=float)
     n_slow = system.dim
     sample_dt = tf / 400.0
+    # the largest omega plans the most steps; an over-long sweep stops here
+    dt = _fastest_period(system.f1.T1, system.f1.T2, omegas[-1]) / settings.steps_per_period
+    try:
+        _plan_steps(t0, t0 + tf, dt, sample_dt, settings.sample_stride)
+    except ValueError as exc:
+        raise ValueError(f"omega = {omegas[-1]:.6g} over tf = {tf:g}: {exc}") from None
 
     if reference is None:
         if is_singular:
@@ -641,6 +646,7 @@ def convergence_study(
         return float(np.linalg.norm(diff, axis=1).max())
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~0.5 MiB RSS on import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(run_one, omegas))
     else:

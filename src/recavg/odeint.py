@@ -69,12 +69,27 @@ class Trajectory:
         return self.states[-1]
 
 
+# The most RK4 steps one integration may plan. At the demo's ~35 us per
+# projected step, 10^7 steps take ~6 min per representation; criterion 3's
+# largest plan (omega = 256 pi to t = 20) is 164,000 steps.
+MAX_STEPS = 10**7
+
+
+def _check_step_count(estimate):
+    if estimate > MAX_STEPS:
+        raise ValueError(
+            f"the plan needs about {estimate:.3g} RK4 steps, over the cap of {MAX_STEPS:.0e}"
+        )
+
+
 def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
     """Pick (dt, total steps, sample-every) so samples land on an exact grid.
 
     When sample_dt is given it is snapped so that (tf - t0) is an integer
     number of sample intervals and dt divides the interval exactly; this is
     what makes trajectories from different systems comparable sample-by-sample.
+    A plan of more than MAX_STEPS steps raises ValueError before any step
+    or sample list exists.
     """
     horizon = tf - t0
     if horizon <= 0:
@@ -82,10 +97,14 @@ def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
     if sample_dt is not None:
         if sample_dt <= 0 or sample_dt > horizon:
             raise ValueError("sample_dt must lie in (0, tf - t0]")
+        # a float bound first, so that no count below overflows an integer
+        _check_step_count(horizon / min(nominal_dt, sample_dt))
         n_samples = max(1, round(horizon / sample_dt))
         sample_dt = horizon / n_samples
         sub = max(1, math.ceil(sample_dt / nominal_dt - 1e-12))
+        _check_step_count(n_samples * sub)
         return sample_dt / sub, n_samples * sub, sub
+    _check_step_count(horizon / nominal_dt)
     n = max(1, math.ceil(horizon / nominal_dt - 1e-12))
     return horizon / n, n, sample_stride
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geom3 import as_mat3, as_vec3, so3_defect
-from ..odeint import IntegratorSettings
-from ..seek3d import SeekParams, SignalField, signal_field
+from ..odeint import IntegratorSettings, _plan_steps
+from ..seek3d import SeekParams, SignalField, _seek_dt, signal_field
 
 SCHEMA_VERSION = 1
 REPRESENTATIONS = ("full", "transformed", "rora")
+_DEFAULT_NAME = "scenario"
 
 _NUMBER_PATTERN = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*(pi)?\s*$")
 
@@ -94,7 +95,7 @@ def _finite(value) -> float:
     return out
 
 
-def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
+def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a parsed configuration document into a Scenario.
 
     Raises ConfigError whose message contains one line per offending field.
@@ -108,10 +109,10 @@ def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
 
-    name = doc.get("name", name_default)
+    name = doc.get("name", _DEFAULT_NAME)
     if not isinstance(name, str) or not name:
         errors.append("name: must be a non-empty string")
-        name = name_default
+        name = _DEFAULT_NAME
 
     pd = doc.get("params")
     params = None
@@ -170,11 +171,6 @@ def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
                 ),
             )
 
-    if params is not None and integrator is not None:
-        interval = _collect(errors, "integrator", lambda: _sample_interval(params, integrator))
-        if interval is not None and not 0.0 < interval < math.inf:
-            errors.append(f"integrator: the sample interval {interval!r} is not finite and > 0")
-
     reps = doc.get("representations", list(REPRESENTATIONS))
     if (
         not isinstance(reps, (list, tuple))
@@ -185,6 +181,22 @@ def scenario_from_dict(doc: dict, name_default: str = "scenario") -> Scenario:
             f"representations: must be a non-empty subset of {list(REPRESENTATIONS)}"
         )
         reps = REPRESENTATIONS
+
+    if params is not None and integrator is not None:
+        interval = _collect(errors, "integrator", lambda: _sample_interval(params, integrator))
+        if interval is not None and not 0.0 < interval < math.inf:
+            errors.append(f"integrator: the sample interval {interval!r} is not finite and > 0")
+        elif interval is not None and t_final is not None and t_final > 0:
+            # the step plans of run_scenario, refused before it writes anything
+            seek_dt = _seek_dt(params, integrator)
+            for rep in reps:
+                dt = 1.0 / integrator.steps_per_period if rep == "rora" else seek_dt
+                where = f"{rep} at dt = {dt:.3g} to t_final = {t_final:g}"
+                _collect(
+                    errors,
+                    f"integrator.steps_per_period ({where})",
+                    lambda: _plan_steps(0.0, t_final, dt, interval, integrator.sample_stride),
+                )
 
     unknown = set(doc) - {
         "schema_version", "name", "params", "field", "p0", "R0", "z0",

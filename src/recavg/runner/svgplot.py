@@ -84,9 +84,9 @@ class _Canvas:
             )
 
     def polyline(self, xs, ys, color, extra=""):
-        pts = " ".join(
-            f"{_coord(self.x_px(x))},{_coord(self.y_px(y))}" for x, y in zip(xs, ys)
-        )
+        # whole-array pixel maps, formatted as Python floats: the per-point bytes
+        px, py = self.x_px(xs).tolist(), self.y_px(ys).tolist()
+        pts = " ".join(map("{:.3f},{:.3f}".format, px, py))
         style = extra if extra else f'stroke="{color}"'
         self.parts.append(
             f'<polyline fill="none" {style} stroke-width="1.2" points="{pts}"/>\n'

@@ -17,6 +17,8 @@ from ..avgcore import TwoScaleField, TwoScaleSystem
 A_TOL = 1e-6
 ROT_TOL = 1e-8
 SINCOS_TOL = 1e-8
+BRACKET_CONVENTION = "[f, g] = (Dg) f - (Df) g"
+PREFACTOR_CONVENTION = "1/(2 T1 T2) on the bracket term, 1/(T1 T2) on the mean"
 
 _B1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 _B2 = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -30,8 +32,6 @@ class VerificationReport:
     sincos_error: float
     passed: bool
     diagnosis: str
-    bracket_convention: str = "[f, g] = (Dg) f - (Df) g"
-    prefactor_convention: str = "1/(2 T1 T2) on the bracket term, 1/(T1 T2) on the mean"
 
     def lines(self):
         status = "PASS" if self.passed else "FAIL"
@@ -39,8 +39,8 @@ class VerificationReport:
             f"gain matrix error        : {self.a_error:.3e} (tol {A_TOL:g})",
             f"rotation-block residual  : {self.rotation_residual:.3e} (tol {ROT_TOL:g})",
             f"sin/cos oracle error     : {self.sincos_error:.3e} (tol {SINCOS_TOL:g})",
-            f"bracket convention       : {self.bracket_convention}",
-            f"prefactor convention     : {self.prefactor_convention}",
+            f"bracket convention       : {BRACKET_CONVENTION}",
+            f"prefactor convention     : {PREFACTOR_CONVENTION}",
             f"verification             : {status}",
         ]
         if self.diagnosis:
@@ -48,7 +48,7 @@ class VerificationReport:
         return out
 
 
-def sincos_test_system(omega: float = 400.0) -> TwoScaleSystem:
+def sincos_test_system() -> TwoScaleSystem:
     """Oscillation sin(tau) b1(x) + cos(tau) b2(x) with linear b1, b2.
 
     Its averaged drift has the closed form -[b1, b2] / 2, i.e. the matrix
@@ -73,7 +73,7 @@ def sincos_test_system(omega: float = 400.0) -> TwoScaleSystem:
         jac=jac1, vectorized=True, depends_sigma=False,
     )
     field2 = avgcore.constant_field(2, 2 * math.pi, 2 * math.pi)
-    return TwoScaleSystem(f1=field1, f2=field2, omega=omega)
+    return TwoScaleSystem(f1=field1, f2=field2, omega=400.0)
 
 
 def sincos_expected_drift(x) -> np.ndarray:

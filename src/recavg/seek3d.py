@@ -368,15 +368,17 @@ def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
 def _embedded_rows(x, f, lam):
     """Embedded field rows, shape (m, 12), for f and L of shape (3, m).
 
-    The rows are linear in (f, L), so the same map applied to their
-    z-derivatives gives the z-Jacobian.
+    The translation rows are f.T @ x[3:12] as the matrix of rows q_i; the
+    column rows broadcast L's rows against the q_i, np.outer's products bit
+    for bit. Linear in (f, L): the same map of their z-derivatives is jac_z.
     """
     q1, q2, q3 = x[3:6], x[6:9], x[9:12]
+    l0, l1, l2 = lam[:, :, None]
     out = np.empty((f.shape[1], 12))
-    out[:, 0:3] = f.T @ np.stack([q1, q2, q3])  # row i of the stack is q_{i+1}
-    out[:, 3:6] = np.outer(lam[2], q2) - np.outer(lam[1], q3)
-    out[:, 6:9] = np.outer(lam[0], q3) - np.outer(lam[2], q1)
-    out[:, 9:12] = np.outer(lam[1], q1) - np.outer(lam[0], q2)
+    out[:, 0:3] = f.T @ x[3:12].reshape(3, 3)
+    out[:, 3:6] = l2 * q2 - l1 * q3
+    out[:, 6:9] = l0 * q3 - l2 * q1
+    out[:, 9:12] = l1 * q1 - l0 * q2
     return out
 
 

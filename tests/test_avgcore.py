@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recavg import seek3d
 from recavg.avgcore import (
@@ -116,6 +119,39 @@ def test_bracket_antisymmetry():
         x = rng.normal(size=3)
         total = lie_bracket(f, g, x) + lie_bracket(g, f, x)
         assert np.abs(total).max() < 1e-9
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _linear_fields_and_point(draw):
+    n = draw(st.integers(1, 5))
+    mats = [draw(arrays(np.float64, (n, n), elements=_ENTRIES)) for _ in range(3)]
+    return mats, draw(arrays(np.float64, n, elements=_ENTRIES))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_linear_fields_and_point())
+def test_bracket_jacobi_identity_on_linear_fields(case):
+    (a, b, c), x = case
+
+    def linear(m):
+        return (lambda y: m @ y), (lambda y: m)
+
+    def bracket(f, g):
+        # [f, g] of linear fields is linear, so its Jacobian's columns are
+        # its values on the unit vectors
+        h = lambda y: lie_bracket(f[0], g[0], y, jac_f=f[1], jac_g=g[1])
+        return h, (lambda y: np.column_stack([h(e) for e in np.eye(y.size)]))
+
+    fa, fb, fc = linear(a), linear(b), linear(c)
+    total = sum(
+        lie_bracket(u[0], vw[0], x, jac_f=u[1], jac_g=vw[1])
+        for u, vw in ((fa, bracket(fb, fc)), (fb, bracket(fc, fa)), (fc, bracket(fa, fb)))
+    )
+    scale = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c) * np.linalg.norm(x)
+    assert np.linalg.norm(total) <= 1e-12 * scale
 
 
 def test_bracket_analytic_jacobians_used():

@@ -1,4 +1,5 @@
-"""Unused-import scan over the package and the test suite.
+"""Import hygiene: an unused-import scan over the package and the test
+suite, and what importing the package pulls in.
 
 A name bound by an import must be read somewhere in the same module, or be
 listed in its __all__. Imports under `if TYPE_CHECKING:` or in `try:`
@@ -6,6 +7,9 @@ fallbacks are not used in this code base, so no exemption is made for them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,15 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures costs ~0.5 MiB of RSS; only a sweep with workers > 1 needs it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, recavg.runner.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -7,9 +7,11 @@ import pytest
 
 from recavg.geom3 import E3, hat, rot_exp, so3_defect
 from recavg.odeint import (
+    MAX_STEPS,
     DivergenceError,
     IntegratorSettings,
     Trajectory,
+    _plan_steps,
     integrate,
     integrate_projected,
 )
@@ -237,6 +239,20 @@ def test_samples_strictly_increasing_when_steps_round_away():
 def test_zero_horizon_rejected():
     with pytest.raises(ValueError):
         integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 0.0, IntegratorSettings(), dt=0.1)
+
+
+def test_plans_over_the_step_cap_rejected():
+    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, None, 1)[1] == MAX_STEPS
+    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, 0.5, 1)[1] == MAX_STEPS
+    # (nominal dt, sample_dt): one step or one sample too many, huge and inf counts
+    for nominal, sample_dt in (
+        (1.0 / (MAX_STEPS + 1), None), (1.0 / (MAX_STEPS + 1), 0.5), (0.5, 1.0 / (MAX_STEPS + 1)),
+        (1e-300, None), (1e-300, 0.5), (1.0, 1e-300), (5e-324, None), (5e-324, 0.5),
+    ):
+        with pytest.raises(ValueError, match="RK4 steps, over the cap of 1e"):
+            _plan_steps(0.0, 1.0, nominal, sample_dt, 1)
+    with pytest.raises(ValueError, match="over the cap"):
+        integrate(lambda t, x: [0.0], [0.0], 0.0, 1e8, IntegratorSettings(), dt=1.0)
 
 
 def test_settings_validation():

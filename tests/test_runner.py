@@ -22,7 +22,7 @@ from recavg.runner import (
 )
 from recavg.runner.artifacts import read_csv, write_csv
 from recavg.runner.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
-from recavg.runner.svgplot import plot_lines
+from recavg.runner.svgplot import _Canvas, plot_lines
 
 
 def short_config(tmp_path, **overrides):
@@ -102,6 +102,44 @@ NON_FINITE_CONFIGS = [
     ("field", {"kind": "orbit", "radius": "nan"}, "field: orbit radius"),
     ("field", {"kind": "static", "kappa": float("inf")}, "field: kappa must be finite"),
 ]
+
+
+# plans over odeint.MAX_STEPS RK4 steps, refused before any output exists
+STEP_CAP_CONFIGS = {
+    "steps_per_period-1e300": ("integrator", {"steps_per_period": 1e300}),
+    "steps_per_period-1e9": ("integrator", {"steps_per_period": 1e9}),
+    "mu-1e-9": ("params", {"alpha": 0.125, "omega": "4pi", "mu": 1e-9}),
+}
+
+
+@pytest.mark.parametrize("key, value", STEP_CAP_CONFIGS.values(), ids=STEP_CAP_CONFIGS)
+def test_cli_step_cap_refused_before_output(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", short_config(tmp_path, **{key: value}), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "integrator.steps_per_period (full at dt = " in err
+    assert "RK4 steps, over the cap of 1e+07" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--omegas", "4pi,16pi,64pi", "--t-final", "1e6"],
+    ["--omegas", "4pi,16pi,1e9pi"],  # only the largest omega is over the cap
+])
+def test_cli_sweep_step_cap_refused_before_any_run(tmp_path, monkeypatch, capsys, args):
+    from recavg import avgcore
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an integration started")
+
+    monkeypatch.setattr(avgcore, "simulate_averaged", no_run)
+    monkeypatch.setattr(avgcore, "simulate_two_scale", no_run)
+    out = tmp_path / "s"
+    assert main(["sweep", *args, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: omega = " in err and "RK4 steps, over the cap of 1e+07" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -228,6 +266,25 @@ def test_scenario_csv_round_trip(tmp_path):
         assert (tmp_path / "run" / os.path.basename(path)).read_bytes() == path2.read_bytes()
 
 
+def reference_format_row(values):
+    """The per-element generator that formatted CSV rows before write_csv's row map."""
+    return ",".join("{:.17g}".format(v) for v in values)
+
+
+def test_write_csv_matches_per_element_reference(tmp_path):
+    rng = np.random.default_rng(41)
+    table = rng.normal(size=(40, 15)) * 10.0 ** rng.integers(-300, 300, size=(40, 15))
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]
+    table[0, :9], table[1, 6:15] = special, special[::-1]
+    header = [f"c{k}" for k in range(15)]
+    # numpy rows format numpy scalars in the reference, list rows Python floats
+    for rows in (table, table.tolist(), table[:0]):
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        want = ",".join(header) + "\n" + "".join(reference_format_row(r) + "\n" for r in rows)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 # --- determinism ---------------------------------------------------------------------
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -250,6 +307,23 @@ def test_svg_files_valid_xml(tmp_path):
         assert os.path.getsize(path) > 0
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
+
+
+def test_polyline_matches_per_point_reference():
+    # the per-point form: each numpy scalar mapped to pixels, then formatted
+    rng = np.random.default_rng(43)
+    for i in range(60):
+        n = int(rng.integers(1, 300))
+        xs = np.cumsum(rng.uniform(0.0, 1.0, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        ys = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        xlim, ylim = sorted(rng.normal(size=2)), (float(ys.min()), float(ys.max()))
+        canvas = _Canvas("t", "x", "y", xlim, ylim)
+        canvas.polyline(xs, ys, "#123456")
+        pts = " ".join(
+            f"{canvas.x_px(x):.3f},{canvas.y_px(y):.3f}" for x, y in zip(xs, ys)
+        )
+        want = f'<polyline fill="none" stroke="#123456" stroke-width="1.2" points="{pts}"/>\n'
+        assert canvas.parts[-1] == want, i
 
 
 def test_empty_trajectory_plot_rejected(tmp_path):

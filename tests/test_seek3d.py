@@ -413,6 +413,36 @@ def test_embedded_callbacks_match_four_piece_reference():
                       seek3d._embedded_rows(x, fz, lamz)), i
 
 
+def reference_embedded_rows(x, f, lam):
+    """The np.stack / np.outer form of the embedded rows that the broadcast replaced."""
+    q1, q2, q3 = x[3:6], x[6:9], x[9:12]
+    out = np.empty((f.shape[1], 12))
+    out[:, 0:3] = f.T @ np.stack([q1, q2, q3])
+    out[:, 3:6] = np.outer(lam[2], q2) - np.outer(lam[1], q3)
+    out[:, 6:9] = np.outer(lam[0], q3) - np.outer(lam[2], q1)
+    out[:, 9:12] = np.outer(lam[1], q1) - np.outer(lam[0], q2)
+    return out
+
+
+def test_embedded_rows_match_outer_product_reference():
+    # the same products and sums in the same order: equal bit for bit, for
+    # the frame pieces and their z-derivatives as built, and for arbitrary
+    # (f, L) of every grid size from 1 to 130
+    rng = np.random.default_rng(33)
+    for i in range(260):
+        m = 1 + i % 130
+        x = rng.normal(size=12) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 2:
+            f, lam = rng.normal(size=(3, m)), rng.normal(size=(3, m))
+        else:
+            z, sigma = float(rng.normal(0.0, 3.0)), float(rng.uniform(-50.0, 50.0))
+            pieces = seek3d._embedded_frame_dz if i % 4 else seek3d._embedded_frame
+            f, lam = pieces(z, sigma, rng.uniform(-20.0, 20.0, m), float(rng.uniform(0.05, 2.0)))
+        got = seek3d._embedded_rows(x, f, lam)
+        assert got.shape == (m, 12)
+        assert np.array_equal(got, reference_embedded_rows(x, f, lam)), i
+
+
 def test_embedded_simulation_preserves_manifold():
     from recavg.avgcore import simulate_singular
 
