@@ -24,6 +24,7 @@ quasi-steady-state z = phi(x) before averaging.
 """
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -59,8 +60,10 @@ class QuadratureSettings:
 class TwoScaleField:
     """Time-varying vector field f(x, t, sigma, tau) with declared periods.
 
-    func returns shape (dim,) for scalar tau. When vectorized is set, func
-    (and jac, if given) accept a 1-D tau array and return shapes
+    func returns shape (dim,) for scalar tau. simulate_two_scale hands func
+    the state as a list of floats at scalar tau; func may answer with a list
+    of floats, which keeps the RK4 stages off numpy. When vectorized is set,
+    func (and jac, if given) accept a 1-D tau array and return shapes
     (len(tau), dim) and (len(tau), dim, dim). jac is the state Jacobian
     d f / d x; when absent it is approximated by central differences.
     depends_sigma=False declares that func ignores sigma, which lets the
@@ -94,22 +97,29 @@ class TwoScaleField:
         return np.array([self.jac(x, t, sigma, tau) for tau in taus], dtype=float)
 
 
+def _zero_values(x, t, sigma, tau):
+    """The zero field's func; _two_scale_rhs recognises it by identity and skips it."""
+    return np.zeros(np.shape(tau) + (len(x),))
+
+
+def _zero_jacobians(x, t, sigma, tau):
+    return np.zeros(np.shape(tau) + (len(x), len(x)))
+
+
 def constant_field(dim: int, T1: float, T2: float, value=None) -> TwoScaleField:
     """A field that ignores (t, sigma, tau); defaults to the zero field."""
-    vec = np.zeros(dim) if value is None else np.asarray(value, dtype=float)
+    func = _zero_values
+    if value is not None:
+        vec = np.asarray(value, dtype=float)
 
-    def func(x, t, sigma, tau):
-        if np.ndim(tau) == 0:
-            return vec
-        return np.broadcast_to(vec, (len(tau), dim))
-
-    def jac(x, t, sigma, tau):
-        if np.ndim(tau) == 0:
-            return np.zeros((dim, dim))
-        return np.zeros((len(tau), dim, dim))
+        def func(x, t, sigma, tau):
+            if np.ndim(tau) == 0:
+                return vec
+            return np.broadcast_to(vec, (len(tau), dim))
 
     return TwoScaleField(
-        dim=dim, func=func, T1=T1, T2=T2, jac=jac, vectorized=True, depends_sigma=False
+        dim=dim, func=func, T1=T1, T2=T2, jac=_zero_jacobians, vectorized=True,
+        depends_sigma=False,
     )
 
 
@@ -130,7 +140,7 @@ class TwoScaleSystem:
         if self.f1.T1 != self.f2.T1 or self.f1.T2 != self.f2.T2:
             raise ValueError("f1 and f2 must share the periods T1 and T2")
         if self.validate:
-            rng = np.random.default_rng(_CHECK_SEED)
+            rng = random.Random(_CHECK_SEED)
             _check_periodicity(self.f1, rng)
             _check_periodicity(self.f2, rng)
             _check_zero_mean(self.f1, rng)
@@ -165,11 +175,14 @@ class SingularSystem:
 
     g and phi take (x, z, t) and (x, t); phi is the quasi-steady-state map
     with g(x, phi(x, t), t) = 0. phi_jac, when given, is d phi / d x with
-    shape (fast_dim, dim).
+    shape (fast_dim, dim). f2 = None is the zero order-one field; the
+    slow-manifold reduction turns it into constant_field's zero field.
     """
 
     f1: SingularField
-    f2: SingularField
+    # a string: typing caches its last 128 Optional[cls], and each entry would
+    # keep a re-imported copy of this module alive
+    f2: "Optional[SingularField]"
     g: Callable
     phi: Callable
     mu: float
@@ -180,10 +193,11 @@ class SingularSystem:
     def __post_init__(self):
         if self.mu <= 0 or self.omega <= 0:
             raise ValueError("mu and omega must be positive")
-        if self.f1.dim != self.f2.dim or self.f1.fast_dim != self.f2.fast_dim:
+        f1, f2 = self.f1, self.f2
+        if f2 is not None and (f1.dim != f2.dim or f1.fast_dim != f2.fast_dim):
             raise ValueError("f1 and f2 must agree in dim and fast_dim")
         if self.validate:
-            rng = np.random.default_rng(_CHECK_SEED)
+            rng = random.Random(_CHECK_SEED)
             self._check_equilibrium(rng)
             reduced = reduce_to_slow_manifold(self, validate=False)
             _check_periodicity(reduced.f1, rng)
@@ -199,9 +213,10 @@ class SingularSystem:
         return self.f1.fast_dim
 
     def _check_equilibrium(self, rng, n_points=16, tol=1e-9):
+        """g(x, phi(x, t), t) = 0 at n_points normal draws of rng, a random.Random."""
         for _ in range(n_points):
-            x = rng.normal(0.0, 1.0, self.dim)
-            t = float(rng.normal(0.0, 1.0))
+            x = np.array([rng.gauss(0.0, 1.0) for _ in range(self.dim)])
+            t = rng.gauss(0.0, 1.0)
             residual = np.asarray(self.g(x, np.atleast_1d(self.phi(x, t)), t))
             if np.abs(residual).max() > tol:
                 raise ValueError(
@@ -243,14 +258,16 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# construction-time assumption checks
+# construction-time assumption checks; rng is a random.Random seeded with
+# _CHECK_SEED, which keeps numpy.random out of the process
 
 def _check_periodicity(f: TwoScaleField, rng, n_points=16, tol=_PERIODICITY_TOL):
+    """f is finite and T1-, T2-periodic at n_points random (x, t, sigma, tau)."""
     for _ in range(n_points):
-        x = rng.normal(0.0, 1.0, f.dim)
-        t = float(rng.normal(0.0, 1.0))
-        sigma = float(rng.uniform(0.0, f.T1))
-        tau = float(rng.uniform(0.0, f.T2))
+        x = np.array([rng.gauss(0.0, 1.0) for _ in range(f.dim)])
+        t = rng.gauss(0.0, 1.0)
+        sigma = rng.uniform(0.0, f.T1)
+        tau = rng.uniform(0.0, f.T2)
         base = np.asarray(f.func(x, t, sigma, tau))
         shift_sigma = np.asarray(f.func(x, t, sigma + f.T1, tau))
         shift_tau = np.asarray(f.func(x, t, sigma, tau + f.T2))
@@ -266,9 +283,9 @@ def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
     """Mean of f over one tau-period must vanish (zero-mean oscillation)."""
     taus = _periodic_nodes(64, f.T2)
     for _ in range(n_points):
-        x = rng.normal(0.0, 1.0, f.dim)
-        t = float(rng.normal(0.0, 1.0))
-        sigma = float(rng.uniform(0.0, f.T1))
+        x = np.array([rng.gauss(0.0, 1.0) for _ in range(f.dim)])
+        t = rng.gauss(0.0, 1.0)
+        sigma = rng.uniform(0.0, f.T1)
         mean = f.eval_grid(x, t, sigma, taus).mean(axis=0)
         if np.abs(mean).max() > tol:
             raise ValueError(
@@ -454,9 +471,13 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
             depends_sigma=sf.depends_sigma,
         )
 
+    if ssys.f2 is None:
+        f2 = constant_field(ssys.dim, ssys.f1.T1, ssys.f1.T2)
+    else:
+        f2 = make_reduced(ssys.f2)
     return TwoScaleSystem(
         f1=make_reduced(ssys.f1),
-        f2=make_reduced(ssys.f2),
+        f2=f2,
         omega=ssys.omega,
         validate=validate,
     )
@@ -485,16 +506,28 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     The fast phases are sigma = sqrt(w) (t - t0) and tau = w (t - t0); the
     slow-time argument stays absolute. Anchoring makes runs of fields with
     no explicit t-dependence invariant under shifting t0.
+
+    The RHS takes and returns lists of floats, so odeint runs its float
+    loop: both fields get the state as a list of floats and may answer with
+    a list or an array. An f2 that is constant_field's zero field is never
+    called, and when f1 answers with a list no array is made at all.
     """
     sqw = math.sqrt(sys.omega)
     w = sys.omega
-    f1, f2 = sys.f1.func, sys.f2.func
+    f1 = sys.f1.func
+    f2 = None if sys.f2.func is _zero_values else sys.f2.func
 
     def rhs(t, x):
+        if not isinstance(x, list):
+            x = x.tolist()
         el = t - t0
-        return sqw * np.asarray(f1(x, t, sqw * el, w * el)) + np.asarray(
-            f2(x, t, sqw * el, w * el)
-        )
+        sigma, tau = sqw * el, w * el
+        v = f1(x, t, sigma, tau)
+        if f2 is None:
+            if isinstance(v, list):
+                return [sqw * a for a in v]
+            return (sqw * np.asarray(v)).tolist()
+        return (sqw * np.asarray(v) + np.asarray(f2(x, t, sigma, tau))).tolist()
 
     return rhs
 
@@ -542,15 +575,16 @@ def simulate_singular(
     sqw = math.sqrt(ssys.omega)
     w = ssys.omega
     mu = ssys.mu
-    f1, f2, g = ssys.f1.func, ssys.f2.func, ssys.g
+    f1, g = ssys.f1.func, ssys.g
+    f2 = ssys.f2.func if ssys.f2 is not None else None
 
     def rhs(t, y):
         x, z = y[:n], y[n:]
         el = t - t0
         sigma, tau = sqw * el, w * el
-        dx = sqw * np.asarray(f1(x, z, t, sigma, tau)) + np.asarray(
-            f2(x, z, t, sigma, tau)
-        )
+        dx = sqw * np.asarray(f1(x, z, t, sigma, tau))
+        if f2 is not None:
+            dx = dx + np.asarray(f2(x, z, t, sigma, tau))
         dz = np.asarray(g(x, z, t)) / mu
         return np.concatenate([dx, np.atleast_1d(dz)])
 
@@ -606,6 +640,10 @@ def convergence_study(
     equal sample intervals of [t0, t0 + tf]. The reference defaults to the
     quadrature-built averaged system; passing a closed form avoids
     re-quadrature at every reference step.
+
+    The omegas run one after another. workers is accepted and ignored: a
+    thread pool gained nothing on these pure-Python runs under the GIL and
+    held memory.
     """
     omegas = [float(w) for w in omegas]
     if len(omegas) < 3:
@@ -645,12 +683,7 @@ def convergence_study(
         diff = traj.states[:, :n_slow] - ref_traj.states[:, :n_slow]
         return float(np.linalg.norm(diff, axis=1).max())
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~0.5 MiB RSS on import
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(run_one, omegas))
-    else:
-        errors = [run_one(w) for w in omegas]
+    errors = [run_one(w) for w in omegas]
 
     logs = np.log(np.array(omegas))
     slope = float(np.polyfit(logs, np.log(np.array(errors)), 1)[0])

@@ -148,14 +148,6 @@ def _min_singular_sq(m) -> float:
     return float(np.linalg.eigvalsh(m.T @ m)[0])
 
 
-def levi_civita(i: int, j: int, k: int) -> int:
-    """Sign of the permutation (i, j, k) of (1, 2, 3); 0 on repeated indices."""
-    for idx in (i, j, k):
-        if idx not in (1, 2, 3):
-            raise ValueError(f"index {idx} out of range 1..3")
-    return ((i - j) * (j - k) * (k - i)) // 2
-
-
 def so3_defect(m) -> float:
     """Max-norm distance of m^T m from the identity."""
     m = as_mat3(m)

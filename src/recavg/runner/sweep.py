@@ -43,7 +43,8 @@ def run_sweep(
     """Sweep the scenario over the given frequencies against the averaged flow.
 
     Each run uses the scenario's steps per period and projection flag, and
-    is sampled at 400 equal intervals of [0, t_final].
+    is sampled at 400 equal intervals of [0, t_final]. The frequencies run
+    one after another; workers is accepted and ignored.
     """
     params = scenario.params
     settings = IntegratorSettings(

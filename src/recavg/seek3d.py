@@ -382,16 +382,41 @@ def _embedded_rows(x, f, lam):
     return out
 
 
+def _embedded_rates(x, z: float, sigma: float, tau: float, alpha: float) -> list:
+    """The 12 floats of _embedded_rows at one tau, for x given as 12 floats.
+
+    Q f, then the column rows [L2 q2 - L1 q3, L0 q3 - L2 q1, L1 q1 - L0 q2],
+    with f and L from _frame_vectors.
+    """
+    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sigma, tau, alpha)
+    _, _, _, a0, a1, a2, b0, b1, b2, c0, c1, c2 = x
+    return [
+        f0 * a0 + f1 * b0 + f2 * c0,
+        f0 * a1 + f1 * b1 + f2 * c1,
+        f0 * a2 + f1 * b2 + f2 * c2,
+        l2 * b0 - l1 * c0, l2 * b1 - l1 * c1, l2 * b2 - l1 * c2,
+        l0 * c0 - l2 * a0, l0 * c1 - l2 * a1, l0 * c2 - l2 * a2,
+        l1 * a0 - l0 * b0, l1 * a1 - l0 * b1, l1 * a2 - l0 * b2,
+    ]
+
+
 def embedded_field(params: SeekParams) -> SingularField:
     """The R^12 coordinate field of the transformed kinematics.
 
     Translation rows carry sum_i f_i q_i; each rotation-column row j carries
     sum_{i,k} L_i eps_{ijk} q_k, the cross-product structure written without
     reference to the group so that state Jacobians are plain matrices.
+
+    func follows odeint's float convention: a state given as a list of
+    floats at scalar tau gets its 12 rows back as a list of floats
+    (_embedded_rates); an array state gets an array, of shape (12,) at
+    scalar tau and (len(tau), 12) on a tau array.
     """
     alpha = params.alpha
 
     def func(x, z, t, sigma, tau):
+        if isinstance(x, list):
+            return _embedded_rates(x, float(z[0]), sigma, tau, alpha)
         f, lam = _embedded_frame(float(z[0]), sigma, np.atleast_1d(tau), alpha)
         out = _embedded_rows(np.asarray(x, float), f, lam)
         return out[0] if np.ndim(tau) == 0 else out
@@ -436,27 +461,8 @@ def embedded_system(
 
     The fast state is the filter value with g(x, z) = c(p, t) - z and
     quasi-steady map phi(x) = c(p, t); the oscillatory drift is entirely in
-    the sqrt(w) slot (no order-one forcing term).
+    the sqrt(w) slot, so f2 is None, the zero order-one field.
     """
-    f1 = embedded_field(params)
-
-    def zeros(*shape):
-        def callback(x, z, t, sigma, tau):
-            return np.zeros(shape if np.ndim(tau) == 0 else (len(tau),) + shape)
-
-        return callback
-
-    f2 = SingularField(
-        dim=EMBEDDED_DIM,
-        fast_dim=1,
-        func=zeros(EMBEDDED_DIM),
-        T1=params.sigma_period,
-        T2=params.tau_period,
-        jac_x=zeros(EMBEDDED_DIM, EMBEDDED_DIM),
-        jac_z=zeros(EMBEDDED_DIM, 1),
-        vectorized=True,
-        depends_sigma=False,
-    )
 
     def g(x, z, t):
         return np.array([field.strength(x[0:3], t) - float(z[0])])
@@ -470,8 +476,8 @@ def embedded_system(
         return out
 
     return SingularSystem(
-        f1=f1,
-        f2=f2,
+        f1=embedded_field(params),
+        f2=None,
         g=g,
         phi=phi,
         mu=params.mu,

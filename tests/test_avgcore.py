@@ -26,6 +26,7 @@ from recavg.avgcore import (
     TwoScaleField,
     TwoScaleSystem,
     _averaged_value,
+    _fastest_period,
     _field_and_jac_on_grid,
     _periodic_antiderivative,
     average_fields,
@@ -38,7 +39,7 @@ from recavg.avgcore import (
     simulate_singular,
     simulate_two_scale,
 )
-from recavg.odeint import IntegratorSettings
+from recavg.odeint import IntegratorSettings, integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,6 +153,16 @@ def test_bracket_jacobi_identity_on_linear_fields(case):
     )
     scale = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c) * np.linalg.norm(x)
     assert np.linalg.norm(total) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_linear_fields_and_point())
+def test_bracket_antisymmetry_on_linear_fields(case):
+    # both orders difference the same two Jacobians, so the negation is exact
+    (a, b, _), x = case
+    f = lambda y: a @ y
+    g = lambda y: b @ y
+    assert np.array_equal(lie_bracket(f, g, x), -lie_bracket(g, f, x))
 
 
 def test_bracket_analytic_jacobians_used():
@@ -442,6 +453,35 @@ def test_simulate_two_scale_t0_shift_invariance():
     assert np.abs(a.states - b.states).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["static", "orbit"])
+def test_simulate_two_scale_float_path_matches_array_rhs(kind):
+    # the reduced embedded system runs on lists of floats; the same system
+    # as an array right-hand side takes the numpy path of each field
+    params = seek3d.SeekParams(alpha=0.125, omega=16.0 * math.pi, mu=1e-2)
+    ssys = seek3d.embedded_system(params, seek3d.signal_field(kind), validate=False)
+    sys = reduce_to_slow_manifold(ssys, validate=False)
+    x0 = embedded_probe(np.random.default_rng(34))
+    t0, tf = 3.0, 0.5
+    settings = IntegratorSettings(steps_per_period=64, projection=False)
+    got = simulate_two_scale(sys, x0, t0, tf, settings, sample_dt=0.01)
+
+    sqw, w = math.sqrt(sys.omega), sys.omega
+    f1, f2 = sys.f1.func, sys.f2.func
+
+    def array_rhs(t, x):
+        el = t - t0
+        return sqw * np.asarray(f1(x, t, sqw * el, w * el)) + np.asarray(
+            f2(x, t, sqw * el, w * el)
+        )
+
+    period = _fastest_period(sys.f1.T1, sys.f1.T2, sys.omega)
+    want = integrate(
+        array_rhs, x0, t0, t0 + tf, settings, fastest_period=period, sample_dt=0.01
+    )
+    assert np.array_equal(got.times, want.times)
+    assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
+
+
 def test_simulate_averaged_zero_field_constant():
     asys = AveragedSystem(dim=2, func=lambda x, t: np.zeros(2))
     x0 = np.array([2.0, 3.0])
@@ -622,6 +662,7 @@ def test_convergence_study_rejects_bad_omegas():
 
 
 def test_convergence_study_concurrent_matches_serial():
+    # workers is still accepted, and ignored: both studies run serially
     omegas = [100.0, 400.0, 1600.0]
     kwargs = dict(
         settings=IntegratorSettings(steps_per_period=64, projection=False),

@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from recavg.geom3 import E1, E2, E3, hat, levi_civita, project_so3, rot_exp, rot_z
+from recavg.geom3 import E1, E2, E3, hat, project_so3, rot_exp, rot_z
+
+
+def levi_civita(i: int, j: int, k: int) -> int:
+    """Sign of the permutation (i, j, k) of (1, 2, 3); 0 on repeated indices."""
+    for idx in (i, j, k):
+        if idx not in (1, 2, 3):
+            raise ValueError(f"index {idx} out of range 1..3")
+    return ((i - j) * (j - k) * (k - i)) // 2
 
 
 def test_hat_cross_product_basis():
@@ -125,6 +136,16 @@ def test_project_so3_idempotent():
         m = rot_exp(rng.normal(size=3)) + 0.05 * rng.normal(size=(3, 3))
         once = project_so3(m)
         assert np.abs(project_so3(once) - once).max() < 1e-13
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    arrays(np.float64, 3, elements=st.floats(-4.0, 4.0)),
+    arrays(np.float64, (3, 3), elements=st.floats(-0.1, 0.1)),
+)
+def test_project_so3_idempotent_near_rotations(axis_angle, perturbation):
+    once = project_so3(rot_exp(axis_angle) + perturbation)
+    assert np.abs(project_so3(once) - once).max() < 1e-13
 
 
 def test_project_so3_rejects_reflection():

@@ -49,13 +49,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_import_leaves_thread_pool_unloaded():
-    # concurrent.futures costs ~0.5 MiB of RSS; only a sweep with workers > 1 needs it
+def run_python(code: str) -> str:
+    """Standard output of code run in a fresh interpreter on this checkout's src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = "import sys, recavg.runner.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures costs ~0.5 MiB of RSS, and nothing in recavg uses it
+    code = "import sys, recavg.runner.cli; print('concurrent.futures' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_sweep_leaves_numpy_random_and_thread_pool_unloaded():
+    # the constructor checks draw from the stdlib random, not numpy.random
+    # (~6 MiB of RSS), and a sweep asked for two workers starts no pool
+    code = "\n".join([
+        "import math, sys",
+        "from recavg import seek3d",
+        "from recavg.runner import built_in, run_sweep",
+        "scenario = built_in('ex1')",
+        "seek3d.embedded_system(scenario.params, scenario.field)",
+        "omegas = [4 * math.pi, 16 * math.pi, 64 * math.pi, 256 * math.pi]",
+        "run_sweep(scenario, omegas, None, t_final=0.05, workers=2)",
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])",
+    ])
+    assert run_python(code) == "[]"

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from recavg import seek3d
+from recavg import avgcore, seek3d
 from recavg.geom3 import E1, E2, E3, hat, rot_exp, so3_defect
 from recavg.odeint import IntegratorSettings, integrate
 from recavg.seek3d import (
@@ -441,6 +441,32 @@ def test_embedded_rows_match_outer_product_reference():
         got = seek3d._embedded_rows(x, f, lam)
         assert got.shape == (m, 12)
         assert np.array_equal(got, reference_embedded_rows(x, f, lam)), i
+
+
+def test_embedded_float_kernel_matches_array_rows():
+    # embedded_field.func on a list state at scalar tau runs _embedded_rates;
+    # the broadcast array rows at the same tau are its oracle, with z on the
+    # slow manifold of each field, as the sweep evaluates it
+    rng = np.random.default_rng(33)
+    for kind in ("static", "orbit"):
+        field = signal_field(kind)
+        for i in range(200):
+            params = SeekParams(alpha=float(rng.uniform(0.05, 2.0)), omega=1.0, mu=1.0)
+            x = rng.normal(size=12)
+            x[0:3] *= 3.0
+            t = float(rng.uniform(0.0, 200.0))
+            sigma = float(rng.uniform(-50.0, 50.0))
+            tau = float(rng.uniform(-20.0, 20.0))
+            z = field.strength(x[0:3], t)
+            f, lam = seek3d._embedded_frame(z, sigma, np.array([tau]), params.alpha)
+            want = seek3d._embedded_rows(x, f, lam)[0]
+            got = embedded_field(params).func(x.tolist(), np.array([z]), t, sigma, tau)
+            assert type(got) is list and all(type(v) is float for v in got), (kind, i)
+            assert _close(np.array(got), want), (kind, i)
+            reduced = avgcore.reduce_to_slow_manifold(
+                embedded_system(params, field, validate=False), validate=False
+            )
+            assert reduced.f1.func(x.tolist(), t, sigma, tau) == got, (kind, i)
 
 
 def test_embedded_simulation_preserves_manifold():
