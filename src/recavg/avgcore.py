@@ -24,6 +24,7 @@ quasi-steady-state z = phi(x) before averaging.
 """
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -50,10 +51,13 @@ class QuadratureSettings:
     max_refinements: int = 4
 
     def __post_init__(self):
-        if self.base_panels < 2 or self.base_panels % 2:
+        n = self.base_panels
+        if not isinstance(n, numbers.Integral) or n < 2 or n % 2:
             raise ValueError("base_panels must be a positive even integer")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and > 0")
+        if not isinstance(self.max_refinements, numbers.Integral) or self.max_refinements < 0:
+            raise ValueError("max_refinements must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,7 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
     return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
 
 
-def _averaged_value(sys: TwoScaleSystem, x, t, n, bracket_sign, swap_prefactors):
+def _averaged_value(sys: TwoScaleSystem, x, t, n):
     """One pass of the averaged drift at (x, t) on an n x n periodic grid.
 
     The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
@@ -393,38 +397,28 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n, bracket_sign, swap_prefactors)
         bracket += np.einsum("mij,mj->i", jacs, by_parts)
         mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
     points = len(sigmas) * n
-    bracket *= bracket_sign / points
-    mean /= points
-    if swap_prefactors:
-        return bracket + mean / 2.0
-    return bracket / 2.0 + mean
+    # times 1 / points, then halved: the rounding every pinned result was made with
+    return bracket * (1 / points) / 2.0 + mean / points
 
 
 def average_fields(
-    sys: TwoScaleSystem,
-    settings: QuadratureSettings = QuadratureSettings(),
-    *,
-    bracket_sign: int = 1,
-    swap_prefactors: bool = False,
+    sys: TwoScaleSystem, settings: QuadratureSettings = QuadratureSettings()
 ) -> AveragedSystem:
     """Averaged drift of a two-timescale system, by refined double quadrature.
 
     Every evaluation re-quadratures from scratch, doubling the nodes per
-    period until two successive results agree within settings.tol.
-
-    bracket_sign and swap_prefactors deliberately break the bracket sign and
-    the 1/2-prefactor placement; they exist so the verification command can
-    demonstrate that the shipped conventions are the ones pinned by the
-    closed-form oracles.
+    period until two successive results agree within settings.tol. The
+    bracket sign and the 1/2-prefactor placement are fixed: the closed-form
+    oracles pin them, and runner.verify shows what breaking either does.
     """
 
     def func(x, t):
-        prev = _averaged_value(sys, x, t, settings.base_panels, bracket_sign, swap_prefactors)
+        prev = _averaged_value(sys, x, t, settings.base_panels)
         if settings.max_refinements == 0:
             return prev
         for level in range(1, settings.max_refinements + 1):
             nodes = settings.base_panels * (2**level)
-            cur = _averaged_value(sys, x, t, nodes, bracket_sign, swap_prefactors)
+            cur = _averaged_value(sys, x, t, nodes)
             if np.abs(cur - prev).max() <= settings.tol:
                 return cur
             prev = cur
@@ -484,17 +478,10 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
 
 
 def rora_reduce(
-    ssys: SingularSystem,
-    settings: QuadratureSettings = QuadratureSettings(),
-    *,
-    bracket_sign: int = 1,
-    swap_prefactors: bool = False,
+    ssys: SingularSystem, settings: QuadratureSettings = QuadratureSettings()
 ) -> AveragedSystem:
     """Reduced-order averaged drift: slow-manifold substitution, then averaging."""
-    reduced = reduce_to_slow_manifold(ssys, validate=False)
-    return average_fields(
-        reduced, settings, bracket_sign=bracket_sign, swap_prefactors=swap_prefactors
-    )
+    return average_fields(reduce_to_slow_manifold(ssys, validate=False), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +519,10 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     return rhs
 
 
-def _fastest_period(T1: float, T2: float, omega: float) -> float:
-    """Shortest forcing period in t-units: tau = w t and sigma = sqrt(w) t."""
-    return min(T2 / omega, T1 / math.sqrt(omega))
+def _forcing_dt(f, omega: float, settings: IntegratorSettings) -> float:
+    """The RK4 step: the shortest forcing period of f's T1 and T2 at omega
+    (tau = w t and sigma = sqrt(w) t) over settings.steps_per_period."""
+    return min(f.T2 / omega, f.T1 / math.sqrt(omega)) / settings.steps_per_period
 
 
 def simulate_two_scale(
@@ -549,8 +537,7 @@ def simulate_two_scale(
     """Integrate dx/dt = sqrt(w) f1 + f2 over [t0, t0 + tf] with anchored phases."""
     return integrate(
         _two_scale_rhs(sys, t0), x0, t0, t0 + tf, settings,
-        fastest_period=_fastest_period(sys.f1.T1, sys.f1.T2, sys.omega),
-        sample_dt=sample_dt,
+        dt=_forcing_dt(sys.f1, sys.omega, settings), sample_dt=sample_dt,
     )
 
 
@@ -589,11 +576,9 @@ def simulate_singular(
         return np.concatenate([dx, np.atleast_1d(dz)])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.atleast_1d(z0).astype(float)])
-    period = _fastest_period(ssys.f1.T1, ssys.f1.T2, ssys.omega)
-    dt = min(period / settings.steps_per_period, mu)
     return integrate(
-        rhs, y0, t0, t0 + tf, settings,
-        rotation_blocks=rotation_blocks, dt=dt, sample_dt=sample_dt,
+        rhs, y0, t0, t0 + tf, settings, rotation_blocks=rotation_blocks,
+        dt=min(_forcing_dt(ssys.f1, ssys.omega, settings), mu), sample_dt=sample_dt,
     )
 
 
@@ -630,7 +615,6 @@ def convergence_study(
     quad: QuadratureSettings = QuadratureSettings(),
     *,
     reference: AveragedSystem = None,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Sup-error between the oscillatory system and its averaged limit per omega.
 
@@ -641,9 +625,8 @@ def convergence_study(
     quadrature-built averaged system; passing a closed form avoids
     re-quadrature at every reference step.
 
-    The omegas run one after another. workers is accepted and ignored: a
-    thread pool gained nothing on these pure-Python runs under the GIL and
-    held memory.
+    The omegas run one after another, each on the step of simulate_two_scale;
+    the largest one's step plan is checked before any run.
     """
     omegas = [float(w) for w in omegas]
     if len(omegas) < 3:
@@ -658,7 +641,7 @@ def convergence_study(
     n_slow = system.dim
     sample_dt = tf / 400.0
     # the largest omega plans the most steps; an over-long sweep stops here
-    dt = _fastest_period(system.f1.T1, system.f1.T2, omegas[-1]) / settings.steps_per_period
+    dt = _forcing_dt(system.f1, omegas[-1], settings)
     try:
         _plan_steps(t0, t0 + tf, dt, sample_dt, settings.sample_stride)
     except ValueError as exc:

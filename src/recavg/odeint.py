@@ -1,12 +1,13 @@
 """Deterministic fixed-step fourth-order integration of time-varying ODEs.
 
-The step size is derived from the fastest forcing period so that the
-oscillatory right-hand sides produced by the averaging modules are always
-resolved. The single entry point, integrate, optionally renormalizes
+The single entry point, integrate, takes the step as an explicit dt; each
+caller derives it from the time scales of its own system (the averaging
+modules from the fastest forcing period). integrate optionally renormalizes
 rotation-matrix blocks of the state after every step.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,10 @@ class DivergenceError(RuntimeError):
 class IntegratorSettings:
     """Fixed-step integrator configuration.
 
-    steps_per_period: substeps per shortest forcing period (>= 16).
+    steps_per_period: substeps per shortest forcing period (an integer >= 16),
+    the rule by which callers of integrate pick its dt.
     projection: renormalize rotation blocks after every step.
-    sample_stride: keep every k-th step in the output trajectory.
+    sample_stride: keep every k-th step in the output trajectory (an integer >= 1).
     """
 
     steps_per_period: int = 64
@@ -36,10 +38,10 @@ class IntegratorSettings:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.steps_per_period < 16:
-            raise ValueError("steps_per_period must be >= 16")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if not isinstance(self.steps_per_period, numbers.Integral) or self.steps_per_period < 16:
+            raise ValueError("steps_per_period must be an integer >= 16")
+        if not isinstance(self.sample_stride, numbers.Integral) or self.sample_stride < 1:
+            raise ValueError("sample_stride must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,14 +181,14 @@ def integrate(
     settings: IntegratorSettings,
     *,
     rotation_blocks=(),
-    fastest_period: float = None,
-    dt: float = None,
+    dt: float,
     sample_dt: float = None,
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to tf with fixed RK4 steps.
 
-    The nominal step is fastest_period / steps_per_period (or an explicit
-    dt). Identical inputs produce bit-identical outputs.
+    The nominal step is dt, which must be finite and > 0; with sample_dt
+    it shrinks so that samples land on an exact grid. Identical inputs
+    produce bit-identical outputs.
 
     One loop takes the steps on a list of Python floats. The first call
     receives x0 as an array. An rhs that returns a list of floats receives
@@ -199,6 +201,8 @@ def integrate(
     start near SO(3). When settings.projection is set, every block is
     reprojected onto SO(3) after every step; otherwise the blocks drift.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     x0 = np.asarray(x0, dtype=float)
     for start in rotation_blocks:
         if so3_defect(x0[start : start + 9].reshape(3, 3)) > 0.5:
@@ -206,8 +210,7 @@ def integrate(
                 f"initial rotation block at offset {start} is not near SO(3)"
             )
     projected = tuple(rotation_blocks) if settings.projection else ()
-    nominal = _nominal_dt(fastest_period, dt, settings)
-    step, n_steps, every = _plan_steps(t0, tf, nominal, sample_dt, settings.sample_stride)
+    step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt, settings.sample_stride)
     return _rk4_run(rhs, x0, t0, step, n_steps, every, projected)
 
 
@@ -215,12 +218,3 @@ def integrate_projected(rhs, x0, t0, tf, settings, rotation_blocks, **kwargs) ->
     """integrate(..., rotation_blocks=rotation_blocks); kept for existing callers."""
     return integrate(rhs, x0, t0, tf, settings, rotation_blocks=rotation_blocks, **kwargs)
 
-
-def _nominal_dt(fastest_period, dt, settings):
-    if dt is not None:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        return dt
-    if fastest_period is None or fastest_period <= 0:
-        raise ValueError("either fastest_period or dt must be given and positive")
-    return fastest_period / settings.steps_per_period

@@ -38,7 +38,7 @@ class RunArtifacts:
     comparison_paths: dict
     summary_path: str
     summary: dict
-    svg_paths: tuple = ()
+    svg_paths: tuple
 
 
 def write_csv(path, header, rows):
@@ -110,8 +110,8 @@ def run_representations(scenario: Scenario):
     return out
 
 
-def run_scenario(scenario: Scenario, out_dir, plots: bool = True) -> RunArtifacts:
-    """Run a scenario from t = 0, write CSVs, comparisons, summary, and optionally SVGs."""
+def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
+    """Run a scenario from t = 0, write CSVs, comparisons, SVGs and the summary."""
     os.makedirs(out_dir, exist_ok=True)
     trajectories = run_representations(scenario)
     field = scenario.field
@@ -172,12 +172,11 @@ def run_scenario(scenario: Scenario, out_dir, plots: bool = True) -> RunArtifact
             field, scenario.field.kappa, scenario.p0
         )
 
-    svg_paths = ()
-    if plots:
-        from .svgplot import plot_artifacts
+    # a local import, as in the CLI's plot command: sweeps and verification never load it
+    from .svgplot import plot_artifacts
 
-        svg_paths = tuple(plot_artifacts(scenario.name, tables, out_dir, field))
-        summary["files"]["svg"] = list(svg_paths)
+    svg_paths = tuple(plot_artifacts(scenario.name, tables, out_dir, field))
+    summary["files"]["svg"] = list(svg_paths)
 
     summary_path = os.path.join(out_dir, f"{scenario.name}_summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:

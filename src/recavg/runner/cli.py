@@ -7,6 +7,7 @@ verification failure, 5 when the averaging quadrature does not converge.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -74,11 +75,11 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="check the averaging conventions")
     p_verify.add_argument(
         "--flip-bracket", action="store_true",
-        help="deliberately invert the bracket sign (must fail)",
+        help="report the engine's output as if the bracket sign were inverted (must fail)",
     )
     p_verify.add_argument(
         "--swap-prefactors", action="store_true",
-        help="deliberately swap the 1/2 prefactor placement (must fail)",
+        help="report it as if the 1/2 prefactor sat on the mean term (must fail)",
     )
 
     p_plot = sub.add_parser("plot", help="regenerate SVG plots from a run directory")
@@ -126,9 +127,29 @@ def _cmd_verify(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _cmd_plot(args):
-    import json
+def _read_summary(path):
+    """The scenario name, CSV paths by representation and field spec of a run
+    summary; a ConfigError names the file and the first bad key."""
+    with open(path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ConfigError(f"run summary {path}: the root is not an object")
+    name, files = summary.get("scenario"), summary.get("files")
+    csv_paths = files.get("csv") if isinstance(files, dict) else None
+    field_spec = summary.get("field_spec", {"kind": "static"})
+    bad = None
+    if not isinstance(name, str):
+        bad = "scenario", "a string"
+    elif not (isinstance(csv_paths, dict) and all(isinstance(p, str) for p in csv_paths.values())):
+        bad = "files.csv", "an object of paths"
+    elif not isinstance(field_spec, dict):
+        bad = "field_spec", "an object"
+    if bad:
+        raise ConfigError(f"run summary {path}: {bad[0]!r} is missing or not {bad[1]}")
+    return name, csv_paths, field_spec
 
+
+def _cmd_plot(args):
     from ..seek3d import signal_field
     from .svgplot import plot_artifacts
 
@@ -139,11 +160,10 @@ def _cmd_plot(args):
     summaries = [f for f in names if f.endswith("_summary.json")]
     if not summaries:
         raise ConfigError(f"no run summary found in {args.in_dir}")
-    with open(os.path.join(args.in_dir, summaries[0]), encoding="utf-8") as fh:
-        summary = json.load(fh)
-    name = summary["scenario"]
+    summary_path = os.path.join(args.in_dir, summaries[0])
+    name, csv_paths, field_spec = _read_summary(summary_path)
     tables = {}
-    for rep, path in summary["files"]["csv"].items():
+    for rep, path in csv_paths.items():
         if not os.path.exists(path):
             path = os.path.join(args.in_dir, os.path.basename(path))
         try:
@@ -155,7 +175,10 @@ def _cmd_plot(args):
         if data.size == 0:
             raise ConfigError(f"trajectory CSV for {rep!r} is empty")
         tables[rep] = data
-    field = signal_field(**summary.get("field_spec", {"kind": "static"}))
+    try:
+        field = signal_field(**field_spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run summary {summary_path}: 'field_spec': {exc}") from exc
     paths = plot_artifacts(name, tables, args.in_dir, field)
     for p in paths:
         print(f"wrote {p}")

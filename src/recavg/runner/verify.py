@@ -2,8 +2,9 @@
 
 Two independent closed forms pin the bracket sign and the 1/2-prefactor
 placement: the constant gain matrix of the rigid-body seeker and the
-sin/cos commutator field. The deliberate-breakage flags exist to
-demonstrate that either convention error is caught.
+sin/cos commutator field. The deliberate-breakage flags demonstrate that
+either convention error is caught; verify_averaging says how it applies
+them.
 """
 
 import math
@@ -88,30 +89,32 @@ def verify_averaging(
     n_probes: int = 24,
     seed: int = 7,
 ) -> VerificationReport:
-    """Recompute both closed-form oracles through the quadrature engine."""
-    sign = -1 if flip_bracket else 1
+    """Recompute both closed-form oracles through the quadrature engine.
+
+    flip_bracket and swap_prefactors report what an engine with the bracket
+    sign inverted, or with the 1/2 prefactor on the mean term in place of
+    the bracket term, would compute. Both oracle systems have a zero f2, so
+    the averaged drift is the bracket term alone and each error multiplies
+    it by a constant: the engine's gain matrix and sin/cos drift are scaled
+    by factor = (-1 if flip_bracket) * (2 if swap_prefactors), and the
+    rotation residual by |factor|. Scaling by -1 and 2 rounds nothing, so
+    the report is the broken engine's wherever both stop refining at the
+    same level.
+    """
+    factor = (-1 if flip_bracket else 1) * (2 if swap_prefactors else 1)
     params = seek3d.SeekParams(
         alpha=1.0 / 8.0, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2)
     )
-    a_matrix, rot_res, _ = seek3d.compute_A_numeric(
-        params,
-        n_probes=n_probes,
-        seed=seed,
-        bracket_sign=sign,
-        swap_prefactors=swap_prefactors,
-    )
+    a_matrix, rot_res, _ = seek3d.compute_A_numeric(params, n_probes=n_probes, seed=seed)
+    a_matrix, rot_res = factor * a_matrix, abs(factor) * rot_res
     a_error = float(np.abs(a_matrix - seek3d.AVERAGED_GAIN).max())
 
-    averaged = avgcore.average_fields(
-        sincos_test_system(),
-        bracket_sign=sign,
-        swap_prefactors=swap_prefactors,
-    )
+    averaged = avgcore.average_fields(sincos_test_system())
     rng = np.random.default_rng(seed)
     sincos_error = 0.0
     for _ in range(10):
         x = rng.normal(0.0, 1.0, 2)
-        dev = np.abs(averaged(x, 0.0) - sincos_expected_drift(x)).max()
+        dev = np.abs(factor * averaged(x, 0.0) - sincos_expected_drift(x)).max()
         sincos_error = max(sincos_error, float(dev))
 
     passed = a_error <= A_TOL and rot_res <= ROT_TOL and sincos_error <= SINCOS_TOL

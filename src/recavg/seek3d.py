@@ -157,16 +157,12 @@ def manifold_defect(x) -> float:
 # ---------------------------------------------------------------------------
 # the feedback law and its representations
 
-def control_inputs(state: RigidState, t: float, params: SeekParams, field: SignalField):
+def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
     """Roll rate, yaw rate, and filter derivative of the seeking law.
 
     dz/dt = (c(p, t) - z) / mu, yaw = omega - dz/dt, and the roll
     oscillates as 2 alpha sqrt(2 omega) sin(omega t - z + pi/4).
     """
-    return _feedback(state.p, float(state.z), t, params, field)
-
-
-def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
     zdot = (field.strength(p, t) - z) / params.mu
     omega_roll = (
         2.0
@@ -492,27 +488,24 @@ def compute_A_numeric(
     *,
     n_probes: int = 24,
     seed: int = 7,
-    bracket_sign: int = 1,
-    swap_prefactors: bool = False,
 ):
     """Recover the averaged gain matrix from the generic averaging engine.
 
     Averages the embedded system of the static log-family field with the
-    default quadrature settings, evaluates the reduced averaged field at
-    random (p, Q) probes and solves the overdetermined linear system
-    Q^T v_translation = A (Q^T grad c) for the constant matrix A. Returns
-    (A, rotation_residual, fit_residual) where rotation_residual is the
-    largest averaged rotation-row entry seen (the averaged frame must be
-    stationary) and fit_residual the worst per-equation mismatch of the
-    linear fit. A fit residual above 1e-6 means the averaged translation is
-    not of the assumed form, which signals a convention error upstream;
-    that raises ArithmeticError.
+    default quadrature settings and the engine's fixed bracket sign and
+    prefactors (runner.verify scales the result to show a broken one),
+    evaluates the reduced averaged field at random (p, Q) probes and solves
+    the overdetermined linear system Q^T v_translation = A (Q^T grad c) for
+    the constant matrix A. Returns (A, rotation_residual, fit_residual)
+    where rotation_residual is the largest averaged rotation-row entry seen
+    (the averaged frame must be stationary) and fit_residual the worst
+    per-equation mismatch of the linear fit. A fit residual above 1e-6
+    means the averaged translation is not of the assumed form, which
+    signals a convention error upstream; that raises ArithmeticError.
     """
     field = signal_field("static")
     ssys = embedded_system(params, field, validate=False)
-    averaged = avgcore.rora_reduce(
-        ssys, bracket_sign=bracket_sign, swap_prefactors=swap_prefactors
-    )
+    averaged = avgcore.rora_reduce(ssys)
     rng = np.random.default_rng(seed)
     rows, rhs = [], []
     rotation_residual = 0.0

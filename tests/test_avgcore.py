@@ -8,6 +8,7 @@ The two closed forms doing the heavy lifting:
   integrates by hand to -[b1, b2] / 2, pinning the 1/2 prefactor placement.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,10 +26,12 @@ from recavg.avgcore import (
     SingularSystem,
     TwoScaleField,
     TwoScaleSystem,
+    _antiderivative_to_end,
     _averaged_value,
-    _fastest_period,
     _field_and_jac_on_grid,
+    _forcing_dt,
     _periodic_antiderivative,
+    _zero_values,
     average_fields,
     constant_field,
     convergence_study,
@@ -40,6 +43,7 @@ from recavg.avgcore import (
     simulate_two_scale,
 )
 from recavg.odeint import IntegratorSettings, integrate
+from recavg.runner.verify import sincos_test_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -415,8 +419,53 @@ def test_by_parts_bracket_matches_two_antiderivative_form(make_sys, n, probe):
         x = probe(rng)
         t = float(rng.normal())
         want = two_antiderivative_value(sys, x, t, n)
-        got = _averaged_value(sys, x, t, n, 1, False)
+        got = _averaged_value(sys, x, t, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), i
+
+
+def switched_averaged_value(sys, x, t, n, sign, swap):
+    """_averaged_value as it stood with its bracket_sign and swap_prefactors
+    switches: the oracle for verify_averaging, which scales the engine's
+    output in place of switching its arithmetic."""
+    f1, f2 = sys.f1, sys.f2
+    taus = np.arange(n) * (f1.T2 / n)
+    sigmas = np.arange(n) * (f1.T1 / n) if f1.depends_sigma or f2.depends_sigma else [0.0]
+    bracket = np.zeros(f1.dim)
+    mean = np.zeros(f1.dim)
+    for sig in sigmas:
+        vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
+        by_parts = _periodic_antiderivative(vals, f1.T2) - _antiderivative_to_end(vals, f1.T2)
+        bracket += np.einsum("mij,mj->i", jacs, by_parts)
+        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
+    points = len(sigmas) * n
+    bracket *= sign / points
+    mean /= points
+    if swap:
+        return bracket + mean / 2.0
+    return bracket / 2.0 + mean
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("which", ["embedded", "sincos"])
+def test_verify_scaling_matches_switched_engine(which, n):
+    # the scaling is exact because both systems verify_averaging averages
+    # have a zero f2: the precondition comes first
+    params = seek3d.SeekParams(alpha=1.0 / 8.0, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2))
+    ssys = seek3d.embedded_system(params, seek3d.signal_field("static"), validate=False)
+    sincos = sincos_test_system()
+    assert ssys.f2 is None
+    assert sincos.f2.func is _zero_values
+    if which == "embedded":
+        sys, probe = reduce_to_slow_manifold(ssys, validate=False), embedded_probe
+    else:
+        sys, probe = sincos, gaussian_probe(2)
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        x, t = probe(rng), float(rng.normal())
+        value = _averaged_value(sys, x, t, n)
+        for sign, swap in itertools.product((1, -1), (False, True)):
+            want = switched_averaged_value(sys, x, t, n, sign, swap)
+            assert np.array_equal(want, sign * (2 if swap else 1) * value), (sign, swap)
 
 
 # --- simulation wrappers ------------------------------------------------------
@@ -474,10 +523,8 @@ def test_simulate_two_scale_float_path_matches_array_rhs(kind):
             f2(x, t, sqw * el, w * el)
         )
 
-    period = _fastest_period(sys.f1.T1, sys.f1.T2, sys.omega)
-    want = integrate(
-        array_rhs, x0, t0, t0 + tf, settings, fastest_period=period, sample_dt=0.01
-    )
+    dt = _forcing_dt(sys.f1, sys.omega, settings)
+    want = integrate(array_rhs, x0, t0, t0 + tf, settings, dt=dt, sample_dt=0.01)
     assert np.array_equal(got.times, want.times)
     assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
 
@@ -660,19 +707,3 @@ def test_convergence_study_rejects_bad_omegas():
     with pytest.raises(ValueError):
         convergence_study(sys, x0, 0.0, 1.0, [-1.0, 1.0, 2.0])
 
-
-def test_convergence_study_concurrent_matches_serial():
-    # workers is still accepted, and ignored: both studies run serially
-    omegas = [100.0, 400.0, 1600.0]
-    kwargs = dict(
-        settings=IntegratorSettings(steps_per_period=64, projection=False),
-        quad=QuadratureSettings(base_panels=32),
-    )
-    serial = convergence_study(
-        sincos_system(), np.array([1.0, 1.0]), 0.0, 1.0, omegas, workers=1, **kwargs
-    )
-    threaded = convergence_study(
-        sincos_system(), np.array([1.0, 1.0]), 0.0, 1.0, omegas, workers=3, **kwargs
-    )
-    assert serial.sup_errors == threaded.sup_errors
-    assert serial.fitted_slope == threaded.fitted_slope

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from recavg.avgcore import QuadratureSettings
 from recavg.geom3 import E3, hat, rot_exp, so3_defect
 from recavg.odeint import (
     MAX_STEPS,
@@ -31,9 +32,8 @@ def test_zero_field_constant():
 
 
 def test_circle_one_period():
-    settings = IntegratorSettings(steps_per_period=256)
     traj = integrate(
-        circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi, settings, fastest_period=2 * np.pi
+        circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi, IntegratorSettings(), dt=2 * np.pi / 256
     )
     # measured RK4 truncation at 256 steps/period is 1.90e-8; the bound below
     # is the honest one for this method and step count
@@ -41,24 +41,20 @@ def test_circle_one_period():
 
 
 def test_scalar_exponential():
-    settings = IntegratorSettings(steps_per_period=256)
-    traj = integrate(
-        lambda t, x: x, np.array([1.0]), 0.0, 1.0, settings, fastest_period=1.0
-    )
+    traj = integrate(lambda t, x: x, np.array([1.0]), 0.0, 1.0, IntegratorSettings(), dt=1.0 / 256)
     assert abs(traj.final_state[0] - np.e) < 1e-9
 
 
 def test_fourth_order_convergence():
     # halving the step must shrink the error by roughly 2^4
     ref = integrate(
-        circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi,
-        IntegratorSettings(steps_per_period=1024), fastest_period=2 * np.pi,
+        circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi, IntegratorSettings(), dt=2 * np.pi / 1024
     ).final_state
     errs = []
     for spp in (64, 128):
         end = integrate(
-            circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi,
-            IntegratorSettings(steps_per_period=spp), fastest_period=2 * np.pi,
+            circle_rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi, IntegratorSettings(),
+            dt=2 * np.pi / spp,
         ).final_state
         errs.append(np.linalg.norm(end - ref))
     ratio = errs[0] / errs[1]
@@ -149,11 +145,9 @@ def test_rhs_length_mismatch_rejected():
 
 
 def test_determinism_bit_identical():
-    settings = IntegratorSettings(steps_per_period=64, sample_stride=3)
+    settings = IntegratorSettings(sample_stride=3)
     runs = [
-        integrate(
-            circle_rhs, np.array([1.0, 0.0]), 0.0, 7.0, settings, fastest_period=2 * np.pi
-        )
+        integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 7.0, settings, dt=2 * np.pi / 64)
         for _ in range(2)
     ]
     assert np.array_equal(runs[0].times, runs[1].times)
@@ -163,12 +157,10 @@ def test_determinism_bit_identical():
 def test_concurrent_matches_serial():
     from concurrent.futures import ThreadPoolExecutor
 
-    settings = IntegratorSettings(steps_per_period=64)
+    settings = IntegratorSettings()
 
     def run(_):
-        return integrate(
-            circle_rhs, np.array([1.0, 0.0]), 0.0, 5.0, settings, fastest_period=2 * np.pi
-        )
+        return integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 5.0, settings, dt=2 * np.pi / 64)
 
     serial = run(None)
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -177,10 +169,9 @@ def test_concurrent_matches_serial():
 
 
 def test_sample_grid_alignment():
-    settings = IntegratorSettings(steps_per_period=64)
     traj = integrate(
-        circle_rhs, np.array([1.0, 0.0]), 0.0, 2.0, settings,
-        fastest_period=0.37, sample_dt=0.25,
+        circle_rhs, np.array([1.0, 0.0]), 0.0, 2.0, IntegratorSettings(),
+        dt=0.37 / 64, sample_dt=0.25,
     )
     assert np.allclose(traj.times, np.arange(9) * 0.25)
 
@@ -256,10 +247,44 @@ def test_plans_over_the_step_cap_rejected():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        IntegratorSettings(steps_per_period=8)
-    with pytest.raises(ValueError):
-        IntegratorSettings(sample_stride=0)
+    for kwargs in (
+        dict(steps_per_period=8),
+        dict(steps_per_period=16.5),
+        dict(steps_per_period=64.0),
+        dict(steps_per_period=math.inf),
+        dict(steps_per_period=math.nan),
+        dict(sample_stride=0),
+        dict(sample_stride=1.5),
+        dict(sample_stride=math.inf),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            IntegratorSettings(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(base_panels=0), "base_panels"),
+        (dict(base_panels=63), "base_panels"),
+        (dict(base_panels=64.0), "base_panels"),
+        (dict(tol=0.0), "tol"),
+        (dict(tol=-1e-9), "tol"),
+        (dict(tol=math.nan), "tol"),
+        (dict(tol=math.inf), "tol"),
+        (dict(max_refinements=-1), "max_refinements"),
+        (dict(max_refinements=2.5), "max_refinements"),
+    ],
+)
+def test_quadrature_settings_validation(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        QuadratureSettings(**kwargs)
+    QuadratureSettings(max_refinements=0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+def test_non_finite_or_non_positive_dt_rejected(dt):
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        integrate(lambda t, x: [0.0], [0.0], 0.0, 1.0, IntegratorSettings(), dt=dt)
 
 
 def test_trajectory_validation():
@@ -282,9 +307,9 @@ def _drift(traj):
 def test_projection_enforces_orthonormality():
     spp = 256
     tf = 1e4 * (2 * np.pi / spp)  # ten thousand steps
-    settings = IntegratorSettings(steps_per_period=spp, projection=True, sample_stride=100)
+    settings = IntegratorSettings(projection=True, sample_stride=100)
     traj = integrate_projected(
-        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], fastest_period=2 * np.pi
+        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], dt=2 * np.pi / spp
     )
     assert _drift(traj) <= 1e-12
 
@@ -292,9 +317,9 @@ def test_projection_enforces_orthonormality():
 def test_unprojected_drift_is_small_but_nonzero():
     spp = 256
     tf = 1e4 * (2 * np.pi / spp)
-    settings = IntegratorSettings(steps_per_period=spp, projection=False, sample_stride=100)
+    settings = IntegratorSettings(projection=False, sample_stride=100)
     traj = integrate_projected(
-        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], fastest_period=2 * np.pi
+        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], dt=2 * np.pi / spp
     )
     drift = _drift(traj)
     assert 0.0 < drift <= 1e-5

@@ -255,7 +255,7 @@ def test_csv_round_trip_exact(tmp_path):
 
 def test_scenario_csv_round_trip(tmp_path):
     sc = load_config(short_config(tmp_path))
-    art = run_scenario(sc, tmp_path / "run", plots=False)
+    art = run_scenario(sc, tmp_path / "run")
     for rep, path in art.csv_paths.items():
         header, data = read_csv(path)
         assert header[:6] == ["t", "px", "py", "pz", "z", "c"]
@@ -338,7 +338,7 @@ def test_empty_trajectory_plot_rejected(tmp_path):
 def test_kappa_grid_check_in_summary(tmp_path):
     path = short_config(tmp_path, field={"kind": "static", "kappa": 30.0})
     sc = load_config(path)
-    art = run_scenario(sc, tmp_path / "run", plots=False)
+    art = run_scenario(sc, tmp_path / "run")
     rec = art.summary["gradient_inequality"]
     assert rec["kappa"] == 30.0
     assert "holds_on_grid" in rec and "worst_margin" in rec
@@ -473,9 +473,30 @@ def test_cli_plot_missing_paths_are_config_errors(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "summary, key",
+    [
+        ({"scenario": "x"}, "'files.csv'"),
+        ([1, 2], "the root is not an object"),
+        ({"files": {"csv": {}}}, "'scenario'"),
+        ({"scenario": "x", "files": {"csv": {"full": 1}}}, "'files.csv'"),
+        ({"scenario": "x", "files": {"csv": {}}, "field_spec": "static"}, "'field_spec'"),
+        ({"scenario": "x", "files": {"csv": {}}, "field_spec": {}}, "'field_spec'"),
+    ],
+    ids=["no-files", "list-root", "no-scenario", "csv-not-paths", "spec-string", "spec-no-kind"],
+)
+def test_cli_plot_malformed_summary_is_config_error(tmp_path, capsys, summary, key):
+    path = tmp_path / "x_summary.json"
+    path.write_text(json.dumps(summary))
+    assert main(["plot", "--in", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert str(path) in err and key in err
+
+
 def test_summary_comparisons_match_csv_maxima(tmp_path):
     sc = load_config(short_config(tmp_path, representations=["full", "transformed", "rora"]))
-    art = run_scenario(sc, tmp_path / "run", plots=False)
+    art = run_scenario(sc, tmp_path / "run")
     assert set(art.summary["comparisons"]) == set(art.comparison_paths)
     for key, path in art.comparison_paths.items():
         header, data = read_csv(path)
@@ -500,7 +521,7 @@ def test_tables_and_summary_match_row_loops(tmp_path):
         tmp_path, field={"kind": "orbit"}, representations=["full", "transformed", "rora"],
         integrator={"steps_per_period": 64, "projection": False, "sample_stride": 8},
     ))
-    art = run_scenario(sc, tmp_path / "run", plots=False)
+    art = run_scenario(sc, tmp_path / "run")
     for rep, traj in run_representations(sc).items():
         rows = []
         for t, y in zip(traj.times, traj.states):

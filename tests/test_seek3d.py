@@ -17,7 +17,7 @@ from recavg.seek3d import (
     AVERAGED_GAIN,
     RigidState,
     SeekParams,
-    control_inputs,
+    _feedback,
     embed_columns,
     embedded_field,
     embedded_system,
@@ -100,8 +100,7 @@ def test_unknown_field_kind_rejected():
 def test_zero_error_inputs():
     p = np.array([1.0, 1.0, 1.0])
     z = STATIC.strength(p, 0.0)
-    state = RigidState(p=p, R=np.eye(3), z=z)
-    roll, yaw, zdot = control_inputs(state, 0.0, PARAMS, STATIC)
+    roll, yaw, zdot = _feedback(p, z, 0.0, PARAMS, STATIC)
     assert zdot == 0.0
     assert yaw == PARAMS.omega
 
@@ -109,11 +108,9 @@ def test_zero_error_inputs():
 def test_roll_amplitude_extremes():
     # phase omega t - z + pi/4 equal to pi/2 gives the sine maximum
     z = math.pi / 4.0 - math.pi / 2.0  # at t = 0
-    state = RigidState(p=np.zeros(3), R=np.eye(3), z=z)
-    roll, _, _ = control_inputs(state, 0.0, PARAMS, STATIC)
+    roll, _, _ = _feedback(np.zeros(3), z, 0.0, PARAMS, STATIC)
     assert abs(roll - 2.0 * PARAMS.alpha * math.sqrt(2.0 * PARAMS.omega)) < 1e-12
-    state0 = RigidState(p=np.zeros(3), R=np.eye(3), z=math.pi / 4.0)
-    roll0, _, _ = control_inputs(state0, 0.0, PARAMS, STATIC)
+    roll0, _, _ = _feedback(np.zeros(3), math.pi / 4.0, 0.0, PARAMS, STATIC)
     assert abs(roll0) < 1e-12
 
 
