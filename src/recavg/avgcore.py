@@ -64,14 +64,14 @@ class QuadratureSettings:
 class TwoScaleField:
     """Time-varying vector field f(x, t, sigma, tau) with declared periods.
 
-    func returns shape (dim,) for scalar tau. simulate_two_scale hands func
-    the state as a list of floats at scalar tau; func may answer with a list
-    of floats, which keeps the RK4 stages off numpy. When vectorized is set,
-    func (and jac, if given) accept a 1-D tau array and return shapes
-    (len(tau), dim) and (len(tau), dim, dim). jac is the state Jacobian
-    d f / d x; when absent it is approximated by central differences.
-    depends_sigma=False declares that func ignores sigma, which lets the
-    quadrature collapse the sigma dimension exactly.
+    func takes a scalar tau and returns dim values, or a 1-D tau array and
+    returns shape (len(tau), dim). simulate_two_scale hands func the state
+    as a list of floats at scalar tau; func may answer with a list of
+    floats, which keeps the RK4 stages off numpy. jac, the state Jacobian
+    d f / d x, is called on tau arrays only and returns shape
+    (len(tau), dim, dim); when absent the quadrature takes central
+    differences. depends_sigma=False declares that func ignores sigma,
+    which lets the quadrature collapse the sigma dimension exactly.
     """
 
     dim: int
@@ -79,7 +79,6 @@ class TwoScaleField:
     T1: float
     T2: float
     jac: Optional[Callable] = None
-    vectorized: bool = False
     depends_sigma: bool = True
 
     def __post_init__(self):
@@ -90,15 +89,7 @@ class TwoScaleField:
 
     def eval_grid(self, x, t, sigma, taus):
         """Field values on a tau grid, shape (len(taus), dim)."""
-        if self.vectorized:
-            return np.asarray(self.func(x, t, sigma, taus), dtype=float)
-        return np.array([self.func(x, t, sigma, tau) for tau in taus], dtype=float)
-
-    def jac_grid(self, x, t, sigma, taus):
-        """Analytic Jacobians on a tau grid, shape (len(taus), dim, dim)."""
-        if self.vectorized:
-            return np.asarray(self.jac(x, t, sigma, taus), dtype=float)
-        return np.array([self.jac(x, t, sigma, tau) for tau in taus], dtype=float)
+        return np.asarray(self.func(x, t, sigma, taus), dtype=float)
 
 
 def _zero_values(x, t, sigma, tau):
@@ -106,24 +97,14 @@ def _zero_values(x, t, sigma, tau):
     return np.zeros(np.shape(tau) + (len(x),))
 
 
-def _zero_jacobians(x, t, sigma, tau):
-    return np.zeros(np.shape(tau) + (len(x), len(x)))
+def _zero_jacobians(x, t, sigma, taus):
+    return np.zeros((len(taus), len(x), len(x)))
 
 
-def constant_field(dim: int, T1: float, T2: float, value=None) -> TwoScaleField:
-    """A field that ignores (t, sigma, tau); defaults to the zero field."""
-    func = _zero_values
-    if value is not None:
-        vec = np.asarray(value, dtype=float)
-
-        def func(x, t, sigma, tau):
-            if np.ndim(tau) == 0:
-                return vec
-            return np.broadcast_to(vec, (len(tau), dim))
-
+def zero_field(dim: int, T1: float, T2: float) -> TwoScaleField:
+    """The field that is zero at every (x, t, sigma, tau)."""
     return TwoScaleField(
-        dim=dim, func=func, T1=T1, T2=T2, jac=_zero_jacobians, vectorized=True,
-        depends_sigma=False,
+        dim=dim, func=_zero_values, T1=T1, T2=T2, jac=_zero_jacobians, depends_sigma=False
     )
 
 
@@ -158,8 +139,10 @@ class TwoScaleSystem:
 class SingularField:
     """Vector field f(x, z, t, sigma, tau) with a fast-state argument z.
 
-    jac_x is d f / d x with shape (dim, dim); jac_z is d f / d z with shape
-    (dim, fast_dim). Vectorized variants prepend the tau axis.
+    func keeps TwoScaleField's contract: dim values at a scalar tau, shape
+    (len(tau), dim) on a 1-D tau array. jac_x = d f / d x and
+    jac_z = d f / d z are called on tau arrays only and return shapes
+    (len(tau), dim, dim) and (len(tau), dim, fast_dim).
     """
 
     dim: int
@@ -169,7 +152,6 @@ class SingularField:
     T2: float
     jac_x: Optional[Callable] = None
     jac_z: Optional[Callable] = None
-    vectorized: bool = False
     depends_sigma: bool = True
 
 
@@ -180,7 +162,7 @@ class SingularSystem:
     g and phi take (x, z, t) and (x, t); phi is the quasi-steady-state map
     with g(x, phi(x, t), t) = 0. phi_jac, when given, is d phi / d x with
     shape (fast_dim, dim). f2 = None is the zero order-one field; the
-    slow-manifold reduction turns it into constant_field's zero field.
+    slow-manifold reduction turns it into zero_field.
     """
 
     f1: SingularField
@@ -370,7 +352,7 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
     """Values and Jacobians of f on a tau grid, by analytic jac or central FD."""
     vals = f.eval_grid(x, t, sigma, taus)
     if f.jac is not None:
-        return vals, f.jac_grid(x, t, sigma, taus)
+        return vals, np.asarray(f.jac(x, t, sigma, taus), dtype=float)
     return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
 
 
@@ -446,14 +428,12 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
         jac = None
         if sf.jac_x is not None and sf.jac_z is not None and ssys.phi_jac is not None:
 
-            def jac(x, t, sigma, tau):
+            def jac(x, t, sigma, taus):
                 z = np.atleast_1d(ssys.phi(x, t))
-                jx = np.asarray(sf.jac_x(x, z, t, sigma, tau))
-                jz = np.asarray(sf.jac_z(x, z, t, sigma, tau))
+                jx = np.asarray(sf.jac_x(x, z, t, sigma, taus))
+                jz = np.asarray(sf.jac_z(x, z, t, sigma, taus))
                 dphi = np.asarray(ssys.phi_jac(x, t)).reshape(sf.fast_dim, sf.dim)
-                return jx + jz @ dphi if jz.ndim == 2 else jx + np.einsum(
-                    "tnm,mk->tnk", jz, dphi
-                )
+                return jx + np.einsum("tnm,mk->tnk", jz, dphi)
 
         return TwoScaleField(
             dim=sf.dim,
@@ -461,12 +441,11 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
             T1=sf.T1,
             T2=sf.T2,
             jac=jac,
-            vectorized=sf.vectorized,
             depends_sigma=sf.depends_sigma,
         )
 
     if ssys.f2 is None:
-        f2 = constant_field(ssys.dim, ssys.f1.T1, ssys.f1.T2)
+        f2 = zero_field(ssys.dim, ssys.f1.T1, ssys.f1.T2)
     else:
         f2 = make_reduced(ssys.f2)
     return TwoScaleSystem(
@@ -496,8 +475,8 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
 
     The RHS takes and returns lists of floats, so odeint runs its float
     loop: both fields get the state as a list of floats and may answer with
-    a list or an array. An f2 that is constant_field's zero field is never
-    called, and when f1 answers with a list no array is made at all.
+    a list or an array. An f2 built by zero_field is never called, and
+    when f1 answers with a list no array is made at all.
     """
     sqw = math.sqrt(sys.omega)
     w = sys.omega
@@ -612,7 +591,6 @@ def convergence_study(
     tf: float,
     omegas: Sequence[float],
     settings: IntegratorSettings = IntegratorSettings(),
-    quad: QuadratureSettings = QuadratureSettings(),
     *,
     reference: AveragedSystem = None,
 ) -> ConvergenceReport:
@@ -622,8 +600,8 @@ def convergence_study(
     quasi-steady value z = phi(x, t), the hypothesis class of the averaging
     error bound. Errors are measured on the slow-state block only, at 400
     equal sample intervals of [t0, t0 + tf]. The reference defaults to the
-    quadrature-built averaged system; passing a closed form avoids
-    re-quadrature at every reference step.
+    averaged system built with the default QuadratureSettings; passing a
+    closed form avoids re-quadrature at every reference step.
 
     The omegas run one after another, each on the step of simulate_two_scale;
     the largest one's step plan is checked before any run.
@@ -648,10 +626,7 @@ def convergence_study(
         raise ValueError(f"omega = {omegas[-1]:.6g} over tf = {tf:g}: {exc}") from None
 
     if reference is None:
-        if is_singular:
-            reference = rora_reduce(system, quad)
-        else:
-            reference = average_fields(system, quad)
+        reference = rora_reduce(system) if is_singular else average_fields(system)
     ref_traj = simulate_averaged(reference, x0, t0, tf, settings, sample_dt=sample_dt)
 
     oscillatory = reduce_to_slow_manifold(system, validate=False) if is_singular else system

@@ -130,8 +130,11 @@ def _cmd_verify(args):
 def _read_summary(path):
     """The scenario name, CSV paths by representation and field spec of a run
     summary; a ConfigError names the file and the first bad key."""
-    with open(path, encoding="utf-8") as fh:
-        summary = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"run summary {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(summary, dict):
         raise ConfigError(f"run summary {path}: the root is not an object")
     name, files = summary.get("scenario"), summary.get("files")

@@ -227,6 +227,6 @@ def load_config(path) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return scenario_from_dict(doc)

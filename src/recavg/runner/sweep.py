@@ -16,7 +16,6 @@ import numpy as np
 
 from .. import avgcore, seek3d
 from ..avgcore import AveragedSystem, ConvergenceReport
-from ..odeint import IntegratorSettings
 from .artifacts import write_csv
 from .config import Scenario
 
@@ -42,16 +41,12 @@ def run_sweep(
 ) -> ConvergenceReport:
     """Sweep the scenario over the given frequencies against the averaged flow.
 
-    Each run uses the scenario's steps per period and projection flag, and
-    is sampled at 400 equal intervals of [0, t_final]. The frequencies run
-    one after another; workers is accepted and ignored, because the
-    benchmark under perfbench/ still passes it.
+    Each run uses the scenario's integrator settings and is sampled at 400
+    equal intervals of [0, t_final], so its sample_stride does not apply.
+    The frequencies run one after another; workers is accepted and
+    ignored, because the benchmark under perfbench/ still passes it.
     """
     params = scenario.params
-    settings = IntegratorSettings(
-        steps_per_period=scenario.integrator.steps_per_period,
-        projection=scenario.integrator.projection,
-    )
     z0 = scenario.initial_z(0.0)
     Q0 = seek3d.initial_Q(scenario.R0, z0, 0.0, params)
     x0 = seek3d.embed_columns(scenario.p0, Q0)
@@ -62,7 +57,7 @@ def run_sweep(
         0.0,
         t_final,
         omegas,
-        settings,
+        scenario.integrator,
         reference=closed_form_reference(scenario.field),
     )
     if out_dir is not None:

@@ -63,17 +63,13 @@ def sincos_test_system() -> TwoScaleSystem:
             return math.sin(tau) * v1 + math.cos(tau) * v2
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
-    def jac1(x, t, sigma, tau):
-        tau = np.asarray(tau)
-        if tau.ndim == 0:
-            return math.sin(tau) * _B1 + math.cos(tau) * _B2
-        return np.sin(tau)[:, None, None] * _B1 + np.cos(tau)[:, None, None] * _B2
+    def jac1(x, t, sigma, taus):
+        return np.sin(taus)[:, None, None] * _B1 + np.cos(taus)[:, None, None] * _B2
 
     field1 = TwoScaleField(
-        dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi,
-        jac=jac1, vectorized=True, depends_sigma=False,
+        dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi, jac=jac1, depends_sigma=False
     )
-    field2 = avgcore.constant_field(2, 2 * math.pi, 2 * math.pi)
+    field2 = avgcore.zero_field(2, 2 * math.pi, 2 * math.pi)
     return TwoScaleSystem(f1=field1, f2=field2, omega=400.0)
 
 

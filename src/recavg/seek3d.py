@@ -118,9 +118,6 @@ class RigidState:
     z: float
 
 
-# state layouts used by the flat integrators
-FULL_DIM = 13  # p(3), R(9) row-major, z
-TRANSFORMED_DIM = 13  # p(3), Q(9) row-major, z
 EMBEDDED_DIM = 12  # p(3), q1(3), q2(3), q3(3)
 _ROT_BLOCK = (3,)  # rotation coordinates start at offset 3 in all layouts
 
@@ -403,24 +400,25 @@ def embedded_field(params: SeekParams) -> SingularField:
     sum_{i,k} L_i eps_{ijk} q_k, the cross-product structure written without
     reference to the group so that state Jacobians are plain matrices.
 
-    func follows odeint's float convention: a state given as a list of
-    floats at scalar tau gets its 12 rows back as a list of floats
-    (_embedded_rates); an array state gets an array, of shape (12,) at
-    scalar tau and (len(tau), 12) on a tau array.
+    The callbacks keep SingularField's contract, and func picks its kernel
+    by tau: a tau array gets the broadcast rows of shape (len(tau), 12)
+    (_embedded_rows), and a scalar tau gets the 12 floats of
+    _embedded_rates as a list, for a state given as a list of floats or as
+    an array. jac_x and jac_z take tau arrays only.
     """
-    alpha = params.alpha
+    alpha, ndarray = params.alpha, np.ndarray
 
     def func(x, z, t, sigma, tau):
-        if isinstance(x, list):
-            return _embedded_rates(x, float(z[0]), sigma, tau, alpha)
-        f, lam = _embedded_frame(float(z[0]), sigma, np.atleast_1d(tau), alpha)
-        out = _embedded_rows(np.asarray(x, float), f, lam)
-        return out[0] if np.ndim(tau) == 0 else out
+        # an exact type test on a local name: on a float tau, the sweep's RK4
+        # stages pay ~40 ns a call more for isinstance(tau, np.ndarray)
+        if type(tau) is ndarray:
+            f, lam = _embedded_frame(float(z[0]), sigma, tau, alpha)
+            return _embedded_rows(np.asarray(x, float), f, lam)
+        return _embedded_rates(x, float(z[0]), sigma, tau, alpha)
 
-    def jac_x(x, z, t, sigma, tau):
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    def jac_x(x, z, t, sigma, taus):
         f, lam = _embedded_frame(float(z[0]), sigma, taus, alpha)
-        jac = np.zeros((taus.size, 12, 12))
+        jac = np.zeros((len(taus), 12, 12))
         eye = np.eye(3)
         for i in range(3):
             jac[:, 0:3, 3 + 3 * i : 6 + 3 * i] = f[i][:, None, None] * eye
@@ -430,12 +428,11 @@ def embedded_field(params: SeekParams) -> SingularField:
         jac[:, 6:9, 3:6] = -lam[2][:, None, None] * eye
         jac[:, 9:12, 3:6] = lam[1][:, None, None] * eye
         jac[:, 9:12, 6:9] = -lam[0][:, None, None] * eye
-        return jac[0] if np.ndim(tau) == 0 else jac
+        return jac
 
-    def jac_z(x, z, t, sigma, tau):
-        fz, lamz = _embedded_frame_dz(float(z[0]), sigma, np.atleast_1d(tau), alpha)
-        col = _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
-        return col[0] if np.ndim(tau) == 0 else col
+    def jac_z(x, z, t, sigma, taus):
+        fz, lamz = _embedded_frame_dz(float(z[0]), sigma, taus, alpha)
+        return _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
 
     return SingularField(
         dim=EMBEDDED_DIM,
@@ -445,7 +442,6 @@ def embedded_field(params: SeekParams) -> SingularField:
         T2=params.tau_period,
         jac_x=jac_x,
         jac_z=jac_z,
-        vectorized=True,
         depends_sigma=True,
     )
 

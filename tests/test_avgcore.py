@@ -33,7 +33,6 @@ from recavg.avgcore import (
     _periodic_antiderivative,
     _zero_values,
     average_fields,
-    constant_field,
     convergence_study,
     lie_bracket,
     reduce_to_slow_manifold,
@@ -41,6 +40,7 @@ from recavg.avgcore import (
     simulate_averaged,
     simulate_singular,
     simulate_two_scale,
+    zero_field,
 )
 from recavg.odeint import IntegratorSettings, integrate
 from recavg.runner.verify import sincos_test_system
@@ -65,26 +65,32 @@ def sincos_field(with_jac=True):
     jac = None
     if with_jac:
 
-        def jac(x, t, sigma, tau):
-            tau = np.asarray(tau)
-            if tau.ndim == 0:
-                return math.sin(tau) * B1 + math.cos(tau) * B2
-            return np.sin(tau)[:, None, None] * B1 + np.cos(tau)[:, None, None] * B2
+        def jac(x, t, sigma, taus):
+            return np.sin(taus)[:, None, None] * B1 + np.cos(taus)[:, None, None] * B2
 
-    return TwoScaleField(
-        dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac,
-        vectorized=True, depends_sigma=False,
-    )
+    return TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=False)
 
 
 def sincos_system(omega=400.0, with_jac=True):
     return TwoScaleSystem(
-        f1=sincos_field(with_jac), f2=constant_field(2, TWO_PI, TWO_PI), omega=omega
+        f1=sincos_field(with_jac), f2=zero_field(2, TWO_PI, TWO_PI), omega=omega
     )
 
 
 def expected_drift(x):
     return -0.5 * (COMMUTATOR @ np.asarray(x))
+
+
+def constant_test_field(value):
+    """The field equal to value at every (x, t, sigma, tau)."""
+    vec = np.asarray(value, dtype=float)
+
+    def func(x, t, sigma, tau):
+        if isinstance(tau, np.ndarray):
+            return np.broadcast_to(vec, (len(tau), vec.size))
+        return vec
+
+    return TwoScaleField(dim=vec.size, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=False)
 
 
 # --- lie_bracket ------------------------------------------------------------
@@ -183,12 +189,55 @@ def test_bracket_rejects_non_finite_jacobian():
         lie_bracket(f, f, np.array([0.0, 0.0]), jac_f=lambda x: np.array([[np.nan, 0], [0, 0]]))
 
 
+# --- the field contract --------------------------------------------------------
+
+CONTRACT_PARAMS = seek3d.SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1e-2)
+
+
+def embedded_f1_at_fixed_z():
+    """The embedded SingularField with its fast state frozen; jac is jac_x."""
+    sf, z = seek3d.embedded_field(CONTRACT_PARAMS), np.array([-0.3])
+    return TwoScaleField(
+        dim=sf.dim, func=lambda x, t, s, tau: sf.func(x, z, t, s, tau), T1=sf.T1, T2=sf.T2,
+        jac=lambda x, t, s, taus: sf.jac_x(x, z, t, s, taus),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_field",
+    [
+        embedded_f1_at_fixed_z,
+        lambda: reduced_embedded_system().f1,
+        lambda: sincos_test_system().f1,
+        lambda: zero_field(3, TWO_PI, 3.0),
+    ],
+    ids=["embedded-f1", "reduced-embedded-f1", "sincos-f1", "zero"],
+)
+def test_shipped_fields_keep_the_field_contract(make_field):
+    # a scalar tau gives dim values, for a list state as for an array state;
+    # a tau grid gives one row per node, and jac one matrix per node
+    f = make_field()
+    rng = np.random.default_rng(36)
+    n = 7
+    for _ in range(20):
+        x = embedded_probe(rng) if f.dim == 12 else rng.normal(size=f.dim)
+        t, sigma, tau = (float(v) for v in rng.uniform(0.0, 20.0, 3))
+        taus = rng.uniform(0.0, 20.0, n)
+        from_list = f.func(x.tolist(), t, sigma, tau)
+        from_array = f.func(x, t, sigma, tau)
+        assert np.shape(from_list) == np.shape(from_array) == (f.dim,)
+        # the same kernel answers both: equal floats, not merely close ones
+        assert np.array_equal(np.asarray(from_array, float), np.asarray(from_list, float))
+        assert np.shape(f.func(x, t, sigma, taus)) == (n, f.dim)
+        assert np.shape(f.jac(x, t, sigma, taus)) == (n, f.dim, f.dim)
+
+
 # --- construction-time assumption checks ------------------------------------
 
 def test_nonzero_mean_f1_rejected():
-    bad = constant_field(2, TWO_PI, TWO_PI, value=[1.0, 0.0])
+    bad = constant_test_field([1.0, 0.0])
     with pytest.raises(ValueError, match="tau-mean"):
-        TwoScaleSystem(f1=bad, f2=constant_field(2, TWO_PI, TWO_PI), omega=10.0)
+        TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
 
 
 def test_wrong_period_rejected():
@@ -197,7 +246,7 @@ def test_wrong_period_rejected():
 
     bad = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=math.pi)
     with pytest.raises(ValueError, match="periodic"):
-        TwoScaleSystem(f1=bad, f2=constant_field(2, TWO_PI, math.pi), omega=10.0)
+        TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, math.pi), omega=10.0)
 
 
 def test_singular_equilibrium_violation_rejected():
@@ -234,9 +283,7 @@ def test_sincos_closed_form_analytic_route():
 
 def test_constant_f2_passes_through():
     value = np.array([0.3, -1.1])
-    sys = TwoScaleSystem(
-        f1=sincos_field(), f2=constant_field(2, TWO_PI, TWO_PI, value=value), omega=50.0
-    )
+    sys = TwoScaleSystem(f1=sincos_field(), f2=constant_test_field(value), omega=50.0)
     averaged = average_fields(sys)
     x = np.array([0.2, 0.4])
     assert np.abs(averaged(x, 0.0) - (expected_drift(x) + value)).max() < 1e-8
@@ -250,9 +297,8 @@ def test_state_independent_f1_averages_to_zero():
         return np.stack([np.sin(tau), np.cos(tau)], axis=1)
 
     sys = TwoScaleSystem(
-        f1=TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, vectorized=True,
-                         depends_sigma=False),
-        f2=constant_field(2, TWO_PI, TWO_PI),
+        f1=TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=False),
+        f2=zero_field(2, TWO_PI, TWO_PI),
         omega=10.0,
     )
     averaged = average_fields(sys)
@@ -284,11 +330,8 @@ def exp_sin_system():
         a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
         return np.multiply.outer(a, B1) + np.multiply.outer(b, B2)
 
-    field = TwoScaleField(
-        dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac,
-        vectorized=True, depends_sigma=False,
-    )
-    return TwoScaleSystem(f1=field, f2=constant_field(2, TWO_PI, TWO_PI), omega=400.0)
+    field = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=False)
+    return TwoScaleSystem(f1=field, f2=zero_field(2, TWO_PI, TWO_PI), omega=400.0)
 
 
 def test_quadrature_non_convergence_raises():
@@ -374,8 +417,8 @@ def random_linear_system(seed, degree, with_mean=False):
     def func(x, t, sigma, tau):
         return jac(x, t, sigma, tau) @ x + c
 
-    field = TwoScaleField(dim=dim, func=func, T1=TWO_PI, T2=3.0, jac=jac, vectorized=True)
-    zero = constant_field(dim, TWO_PI, 3.0)
+    field = TwoScaleField(dim=dim, func=func, T1=TWO_PI, T2=3.0, jac=jac)
+    zero = zero_field(dim, TWO_PI, 3.0)
     return TwoScaleSystem(f1=field, f2=zero, omega=1.0, validate=not with_mean)
 
 
@@ -472,8 +515,8 @@ def test_verify_scaling_matches_switched_engine(which, n):
 
 def test_simulate_two_scale_zero_fields_constant():
     sys = TwoScaleSystem(
-        f1=constant_field(2, TWO_PI, TWO_PI),
-        f2=constant_field(2, TWO_PI, TWO_PI),
+        f1=zero_field(2, TWO_PI, TWO_PI),
+        f2=zero_field(2, TWO_PI, TWO_PI),
         omega=100.0,
     )
     x0 = np.array([1.0, -1.0])
@@ -553,7 +596,7 @@ def _frozen_singular(mu, omega=1.0):
         dim=1, fast_dim=1,
         func=lambda x, z, t, s, tau: np.zeros(1) if np.ndim(tau) == 0
         else np.zeros((len(tau), 1)),
-        T1=TWO_PI, T2=TWO_PI, vectorized=True, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
     )
     return SingularSystem(
         f1=zero, f2=zero,
@@ -611,12 +654,12 @@ def test_reduction_noop_when_fields_ignore_z():
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
     f1 = SingularField(dim=2, fast_dim=2, func=f1_func, T1=TWO_PI, T2=TWO_PI,
-                       vectorized=True, depends_sigma=False)
+                       depends_sigma=False)
     f2 = SingularField(
         dim=2, fast_dim=2,
         func=lambda x, z, t, s, tau: np.zeros(2) if np.ndim(tau) == 0
         else np.zeros((len(tau), 2)),
-        T1=TWO_PI, T2=TWO_PI, vectorized=True, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
     )
     ssys = SingularSystem(
         f1=f1, f2=f2, g=lambda x, z, t: x - z, phi=lambda x, t: x, mu=0.1, omega=50.0
@@ -639,10 +682,10 @@ def test_reduction_zero_f1_gives_mean_of_substituted_f2():
         dim=1, fast_dim=1,
         func=lambda x, z, t, s, tau: np.zeros(1) if np.ndim(tau) == 0
         else np.zeros((len(tau), 1)),
-        T1=TWO_PI, T2=TWO_PI, vectorized=True, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
     )
     f2 = SingularField(dim=1, fast_dim=1, func=f2_func, T1=TWO_PI, T2=TWO_PI,
-                       vectorized=True, depends_sigma=False)
+                       depends_sigma=False)
     ssys = SingularSystem(
         f1=zero, f2=f2, g=lambda x, z, t: 2.0 * x - z, phi=lambda x, t: 2.0 * x,
         mu=0.1, omega=30.0,
@@ -678,7 +721,6 @@ def test_convergence_study_sincos_rate():
         sincos_system(), np.array([1.0, 1.0]), 0.0, 2.0,
         [1e2, 1e3, 1e4],
         IntegratorSettings(steps_per_period=64, projection=False),
-        QuadratureSettings(base_panels=32),
     )
     errs = report.sup_errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -691,7 +733,6 @@ def test_convergence_study_quadrupling_ratio():
         sincos_system(), np.array([1.0, 1.0]), 0.0, 2.0,
         [400.0, 1600.0, 6400.0],
         IntegratorSettings(steps_per_period=64, projection=False),
-        QuadratureSettings(base_panels=32),
     )
     for ratio in report.error_ratios():
         assert 1.5 <= ratio <= 2.5

@@ -12,9 +12,9 @@ import pkgutil
 
 import recavg
 
-# ROADMAP item 4 caps the count at 60; this is the count the code has
+# ROADMAP item 4 caps the count at 60; 51 is the count the code has
 # reached, so a new option has to replace an old one or be argued for there
-MAX_SETTABLE = 55
+MAX_SETTABLE = 51
 
 
 def settable_values():

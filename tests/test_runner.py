@@ -364,6 +364,17 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"not json"], ids=["not-utf8", "not-json"])
+def test_cli_undecodable_config_names_file(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(cfg) in err
+
+
 def test_cli_out_root_env(tmp_path, monkeypatch):
     cfg = short_config(tmp_path)
     monkeypatch.setenv("RECAVG_OUT_ROOT", str(tmp_path / "envout"))
@@ -482,12 +493,21 @@ def test_cli_plot_missing_paths_are_config_errors(tmp_path, capsys):
         ({"scenario": "x", "files": {"csv": {"full": 1}}}, "'files.csv'"),
         ({"scenario": "x", "files": {"csv": {}}, "field_spec": "static"}, "'field_spec'"),
         ({"scenario": "x", "files": {"csv": {}}, "field_spec": {}}, "'field_spec'"),
+        (b"not json", "not valid UTF-8 JSON"),
+        (b"\xff\xfe{}", "not valid UTF-8 JSON"),
     ],
-    ids=["no-files", "list-root", "no-scenario", "csv-not-paths", "spec-string", "spec-no-kind"],
+    ids=[
+        "no-files", "list-root", "no-scenario", "csv-not-paths", "spec-string", "spec-no-kind",
+        "not-json", "not-utf8",
+    ],
 )
 def test_cli_plot_malformed_summary_is_config_error(tmp_path, capsys, summary, key):
+    # bytes are written as they stand, anything else as its JSON text
     path = tmp_path / "x_summary.json"
-    path.write_text(json.dumps(summary))
+    if isinstance(summary, bytes):
+        path.write_bytes(summary)
+    else:
+        path.write_text(json.dumps(summary))
     assert main(["plot", "--in", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.count("\n") == 1

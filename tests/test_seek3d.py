@@ -322,7 +322,9 @@ def test_embedded_field_matches_transformed_rhs():
         Q = rot_exp(rng.normal(size=3))
         z = float(rng.normal())
         t = float(rng.uniform(0.0, 50.0))
-        v = sqw * f1.func(embed_columns(p, Q), np.array([z]), t, sqw * t, PARAMS.omega * t)
+        v = sqw * np.asarray(
+            f1.func(embed_columns(p, Q), np.array([z]), t, sqw * t, PARAMS.omega * t)
+        )
         dp, dQ, _ = transformed_rhs(p, Q, z, t, PARAMS, STATIC)
         assert np.abs(v - np.concatenate([dp, dQ[:, 0], dQ[:, 1], dQ[:, 2]])).max() < 1e-12
 
@@ -335,7 +337,7 @@ def test_embedded_field_periodicity():
         z = np.array([rng.normal()])
         sigma = float(rng.uniform(0.0, PARAMS.sigma_period))
         tau = float(rng.uniform(0.0, PARAMS.tau_period))
-        base = f1.func(x, z, 0.0, sigma, tau)
+        base = np.asarray(f1.func(x, z, 0.0, sigma, tau))
         assert np.abs(f1.func(x, z, 0.0, sigma + PARAMS.sigma_period, tau) - base).max() < 1e-9
         assert np.abs(f1.func(x, z, 0.0, sigma, tau + PARAMS.tau_period) - base).max() < 1e-9
 
@@ -345,16 +347,17 @@ def test_embedded_jacobians_match_finite_differences():
     rng = np.random.default_rng(26)
     x = rng.normal(size=12)
     z = np.array([0.4])
-    sigma, tau = 1.3, 2.1
-    jx = f1.jac_x(x, z, 0.0, sigma, tau)
-    jz = f1.jac_z(x, z, 0.0, sigma, tau)
+    sigma, taus = 1.3, np.array([2.1])
+    jx = f1.jac_x(x, z, 0.0, sigma, taus)[0]
+    jz = f1.jac_z(x, z, 0.0, sigma, taus)[0]
     h = 1e-6
+    row = lambda y, zz: f1.func(y, zz, 0.0, sigma, taus)[0]
     for j in range(12):
         e = np.zeros(12)
         e[j] = h
-        fd = (f1.func(x + e, z, 0.0, sigma, tau) - f1.func(x - e, z, 0.0, sigma, tau)) / (2 * h)
+        fd = (row(x + e, z) - row(x - e, z)) / (2 * h)
         assert np.abs(jx[:, j] - fd).max() < 1e-8
-    fdz = (f1.func(x, z + h, 0.0, sigma, tau) - f1.func(x, z - h, 0.0, sigma, tau)) / (2 * h)
+    fdz = (row(x, z + h) - row(x, z - h)) / (2 * h)
     assert np.abs(jz[:, 0] - fdz).max() < 1e-8
 
 
