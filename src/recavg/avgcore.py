@@ -88,8 +88,17 @@ class TwoScaleField:
             raise ValueError("periods T1, T2 must be positive")
 
     def eval_grid(self, x, t, sigma, taus):
-        """Field values on a tau grid, shape (len(taus), dim)."""
-        return np.asarray(self.func(x, t, sigma, taus), dtype=float)
+        """Values on a tau grid, shape (len(taus), dim); else ValueError naming the contract."""
+        try:
+            vals = np.asarray(self.func(x, t, sigma, taus), dtype=float)
+            if vals.shape == (len(taus), self.dim):
+                return vals
+            fault = f"got {vals.shape}"
+        except (TypeError, ValueError, IndexError) as exc:
+            fault = f"on a tau array it raised {exc!r}"
+        raise ValueError(
+            f"func must accept a 1-D tau array and return shape ({len(taus)}, {self.dim}); {fault}"
+        )
 
 
 def _zero_values(x, t, sigma, tau):
@@ -160,9 +169,10 @@ class SingularSystem:
     """Slow/fast pair: dx/dt as in TwoScaleSystem but fed by z, mu dz/dt = g(x, z).
 
     g and phi take (x, z, t) and (x, t); phi is the quasi-steady-state map
-    with g(x, phi(x, t), t) = 0. phi_jac, when given, is d phi / d x with
-    shape (fast_dim, dim). f2 = None is the zero order-one field; the
-    slow-manifold reduction turns it into zero_field.
+    with g(x, phi(x, t), t) = 0. phi answers fast_dim values, which the
+    reduced fields pass to f1 and f2 as z as they stand. phi_jac, when
+    given, is d phi / d x with shape (fast_dim, dim). f2 = None is the zero
+    order-one field; the slow-manifold reduction turns it into zero_field.
     """
 
     f1: SingularField
@@ -203,7 +213,12 @@ class SingularSystem:
         for _ in range(n_points):
             x = np.array([rng.gauss(0.0, 1.0) for _ in range(self.dim)])
             t = rng.gauss(0.0, 1.0)
-            residual = np.asarray(self.g(x, np.atleast_1d(self.phi(x, t)), t))
+            z = self.phi(x, t)
+            if np.shape(z) != (self.fast_dim,):
+                raise ValueError(
+                    f"phi must return fast_dim = {self.fast_dim} values, got {np.shape(z)}"
+                )
+            residual = np.asarray(self.g(x, z, t))
             if np.abs(residual).max() > tol:
                 raise ValueError(
                     "g(x, phi(x)) is not zero at a sampled point "
@@ -422,14 +437,13 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
 
     def make_reduced(sf: SingularField) -> TwoScaleField:
         def func(x, t, sigma, tau):
-            z = np.atleast_1d(ssys.phi(x, t))
-            return sf.func(x, z, t, sigma, tau)
+            return sf.func(x, ssys.phi(x, t), t, sigma, tau)
 
         jac = None
         if sf.jac_x is not None and sf.jac_z is not None and ssys.phi_jac is not None:
 
             def jac(x, t, sigma, taus):
-                z = np.atleast_1d(ssys.phi(x, t))
+                z = ssys.phi(x, t)
                 jx = np.asarray(sf.jac_x(x, z, t, sigma, taus))
                 jz = np.asarray(sf.jac_z(x, z, t, sigma, taus))
                 dphi = np.asarray(ssys.phi_jac(x, t)).reshape(sf.fast_dim, sf.dim)

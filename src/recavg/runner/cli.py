@@ -14,7 +14,7 @@ import sys
 
 from ..avgcore import QuadratureError
 from ..odeint import DivergenceError
-from .artifacts import read_csv, run_scenario
+from .artifacts import STATE_COLUMNS, read_csv, run_scenario
 from .config import ConfigError, load_config, parse_pi_value
 from .scenarios import BUILTIN_NAMES, built_in
 from .sweep import run_sweep
@@ -133,6 +133,8 @@ def _read_summary(path):
     try:
         with open(path, encoding="utf-8") as fh:
             summary = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read run summary {path}: {exc.strerror}") from exc
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"run summary {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(summary, dict):
@@ -175,8 +177,13 @@ def _cmd_plot(args):
             raise ConfigError(
                 f"cannot read trajectory CSV for {rep!r} at {path}: {exc.strerror}"
             ) from exc
-        if data.size == 0:
-            raise ConfigError(f"trajectory CSV for {rep!r} is empty")
+        except ValueError as exc:  # a non-numeric cell or ragged rows
+            raise ConfigError(f"trajectory CSV for {rep!r} at {path}: {exc}") from exc
+        if data.ndim != 2 or data.shape[1] != len(STATE_COLUMNS):
+            raise ConfigError(
+                f"trajectory CSV for {rep!r} at {path}: expected rows of "
+                f"{len(STATE_COLUMNS)} values, got shape {data.shape}"
+            )
         tables[rep] = data
     try:
         field = signal_field(**field_spec)

@@ -21,12 +21,10 @@ from .config import Scenario
 
 
 def closed_form_reference(field) -> AveragedSystem:
-    """The averaged drift in embedded coordinates, using the constant gain."""
+    """The averaged drift on the embedded state [p, rows of Q], the rora state."""
 
     def func(x, t):
-        p, Q = seek3d.split_columns(x)
-        dp, _, _ = seek3d.rora_rhs(p, Q, t, field)
-        return np.concatenate([dp, np.zeros(9)])
+        return seek3d._rora_rates(x[0:3], x[3:12], t, field)
 
     return AveragedSystem(dim=seek3d.EMBEDDED_DIM, func=func)
 

@@ -7,9 +7,8 @@ signal strength. Four representations of the same closed loop are provided:
 * full:        state (p, R, z) with the literal feedback law;
 * transformed: state (p, Q, z) in the co-rotating frame that removes the
                nominal yaw and roll phases (an exact change of variables);
-* embedded:    the transformed rotation unpacked into R^12 column
-               coordinates, packaged as a slow/fast system for the averaging
-               engine;
+* embedded:    the transformed state without z, [p, rows of Q] in R^12,
+               packaged as a slow/fast system for the averaging engine;
 * rora:        the closed-form averaged limit dp/dt = Q A Q^T grad c with
                the constant gain matrix A = [[3,1,0],[1,3,0],[0,0,2]] / 4.
 """
@@ -118,37 +117,17 @@ class RigidState:
     z: float
 
 
-EMBEDDED_DIM = 12  # p(3), q1(3), q2(3), q3(3)
+EMBEDDED_DIM = 12  # p(3), the rows of Q (9)
 _ROT_BLOCK = (3,)  # rotation coordinates start at offset 3 in all layouts
 
 
 def embed_columns(p, Q) -> np.ndarray:
-    """Pack (p, Q) into the 12-vector [p, q1, q2, q3] of Q's columns."""
-    Q = as_mat3(Q)
-    return np.concatenate([as_vec3(p), Q[:, 0], Q[:, 1], Q[:, 2]])
+    """Pack (p, Q) into the embedded 12-vector [p, rows of Q].
 
-
-def split_columns(x):
-    """Inverse of embed_columns: returns (p, Q)."""
-    x = np.asarray(x, dtype=float)
-    Q = np.column_stack([x[3:6], x[6:9], x[9:12]])
-    return x[0:3].copy(), Q
-
-
-def manifold_defect(x) -> float:
-    """Deviation of the embedded rotation coordinates from the group structure.
-
-    Checks both orthonormality q_i . q_j = delta_ij and the orientation
-    (right-handedness) relations q_i x q_j = q_k for cyclic (i, j, k).
+    The layout is the transformed state's without z. The name is older than
+    the layout and stays because the benchmark under perfbench/ calls it.
     """
-    _, Q = split_columns(x)
-    ortho = np.abs(Q.T @ Q - np.eye(3)).max()
-    cols = [Q[:, 0], Q[:, 1], Q[:, 2]]
-    cross = max(
-        np.abs(np.cross(cols[i], cols[(i + 1) % 3]) - cols[(i + 2) % 3]).max()
-        for i in range(3)
-    )
-    return float(max(ortho, cross))
+    return np.concatenate([as_vec3(p), as_mat3(Q).ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +149,11 @@ def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
     return omega_roll, params.omega - zdot, zdot
 
 
-def _rigid_rates(q, v, w, zdot) -> list:
-    """The 13 floats [M v, rows of M hat(w), zdot] for M given as 9 row-major floats.
+def _rigid_rates(q, v, w) -> list:
+    """The 12 floats [M v, rows of M hat(w)] for M given as 9 row-major floats.
 
-    Row i of M hat(w) is m_i x w for the i-th row m_i of M.
+    Row i of M hat(w) is m_i x w for the i-th row m_i of M. The full and
+    transformed kernels append zdot; the embedded and rora ones do not.
     """
     m00, m01, m02, m10, m11, m12, m20, m21, m22 = q
     v0, v1, v2 = v
@@ -185,14 +165,15 @@ def _rigid_rates(q, v, w, zdot) -> list:
         m01 * w2 - m02 * w1, m02 * w0 - m00 * w2, m00 * w1 - m01 * w0,
         m11 * w2 - m12 * w1, m12 * w0 - m10 * w2, m10 * w1 - m11 * w0,
         m21 * w2 - m22 * w1, m22 * w0 - m20 * w2, m20 * w1 - m21 * w0,
-        zdot,
     ]
 
 
 def _full_rates(p, r, z, t, params, field) -> list:
     omega_roll, omega_yaw, zdot = _feedback(p, z, t, params, field)
     speed = math.sqrt(2.0 * params.omega)
-    return _rigid_rates(r, (speed, 0.0, 0.0), (omega_roll, 0.0, omega_yaw), zdot)
+    rates = _rigid_rates(r, (speed, 0.0, 0.0), (omega_roll, 0.0, omega_yaw))
+    rates.append(zdot)
+    return rates
 
 
 def full_rhs(state: RigidState, t: float, params: SeekParams, field: SignalField):
@@ -201,10 +182,6 @@ def full_rhs(state: RigidState, t: float, params: SeekParams, field: SignalField
         _full_rates(state.p, np.ravel(state.R).tolist(), float(state.z), t, params, field)
     )
     return out[0:3], out[3:12].reshape(3, 3), float(out[12])
-
-
-def _full_rhs_flat(t, y, params, field):
-    return _full_rates(y[0:3], y[3:12], y[12], t, params, field)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -255,7 +232,9 @@ def _transformed_rates(p, q, z, t, params, field) -> list:
     sqw = math.sqrt(params.omega)
     (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sqw * t, params.omega * t, params.alpha)
     zdot = (field.strength(p, t) - z) / params.mu
-    return _rigid_rates(q, (sqw * f0, sqw * f1, sqw * f2), (sqw * l0, sqw * l1, sqw * l2), zdot)
+    rates = _rigid_rates(q, (sqw * f0, sqw * f1, sqw * f2), (sqw * l0, sqw * l1, sqw * l2))
+    rates.append(zdot)
+    return rates
 
 
 def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
@@ -267,10 +246,6 @@ def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
     """
     out = np.array(_transformed_rates(p, np.ravel(Q).tolist(), float(z), t, params, field))
     return out[0:3], out[3:12].reshape(3, 3), float(out[12])
-
-
-def _transformed_rhs_flat(t, y, params, field):
-    return _transformed_rates(y[0:3], y[3:12], y[12], t, params, field)
 
 
 def reconstruct_R(Q, z, t, params: SeekParams) -> np.ndarray:
@@ -309,7 +284,8 @@ _GAIN = AVERAGED_GAIN.ravel().tolist()
 def _rora_rates(p, q, t, field) -> list:
     """rora_rhs's (dp, dQ) as 12 floats, for Q given as 9 row-major floats.
 
-    dp = Q v with v = A u and u = Q^T grad c; dQ is zero.
+    The rigid rates of velocity v = A u, with u = Q^T grad c, and no turn:
+    dp = Q v and dQ = Q hat(0), zero.
     """
     g0, g1, g2 = field.gradient(p, t).tolist()
     m00, m01, m02, m10, m11, m12, m20, m21, m22 = q
@@ -320,12 +296,7 @@ def _rora_rates(p, q, t, field) -> list:
     v0 = a00 * u0 + a01 * u1 + a02 * u2
     v1 = a10 * u0 + a11 * u1 + a12 * u2
     v2 = a20 * u0 + a21 * u1 + a22 * u2
-    return [
-        m00 * v0 + m01 * v1 + m02 * v2,
-        m10 * v0 + m11 * v1 + m12 * v2,
-        m20 * v0 + m21 * v1 + m22 * v2,
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    ]
+    return _rigid_rates(q, (v0, v1, v2), (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -361,50 +332,34 @@ def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
 def _embedded_rows(x, f, lam):
     """Embedded field rows, shape (m, 12), for f and L of shape (3, m).
 
-    The translation rows are f.T @ x[3:12] as the matrix of rows q_i; the
-    column rows broadcast L's rows against the q_i, np.outer's products bit
-    for bit. Linear in (f, L): the same map of their z-derivatives is jac_z.
+    At each node: Q f, then the rows q_i x L of Q hat(L), _rigid_rates's
+    products and differences broadcast over the nodes. Linear in (f, L):
+    the same map of their z-derivatives is jac_z.
     """
-    q1, q2, q3 = x[3:6], x[6:9], x[9:12]
+    Q = x[3:12].reshape(3, 3)
     l0, l1, l2 = lam[:, :, None]
-    out = np.empty((f.shape[1], 12))
-    out[:, 0:3] = f.T @ x[3:12].reshape(3, 3)
-    out[:, 3:6] = l2 * q2 - l1 * q3
-    out[:, 6:9] = l0 * q3 - l2 * q1
-    out[:, 9:12] = l1 * q1 - l0 * q2
-    return out
-
-
-def _embedded_rates(x, z: float, sigma: float, tau: float, alpha: float) -> list:
-    """The 12 floats of _embedded_rows at one tau, for x given as 12 floats.
-
-    Q f, then the column rows [L2 q2 - L1 q3, L0 q3 - L2 q1, L1 q1 - L0 q2],
-    with f and L from _frame_vectors.
-    """
-    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sigma, tau, alpha)
-    _, _, _, a0, a1, a2, b0, b1, b2, c0, c1, c2 = x
-    return [
-        f0 * a0 + f1 * b0 + f2 * c0,
-        f0 * a1 + f1 * b1 + f2 * c1,
-        f0 * a2 + f1 * b2 + f2 * c2,
-        l2 * b0 - l1 * c0, l2 * b1 - l1 * c1, l2 * b2 - l1 * c2,
-        l0 * c0 - l2 * a0, l0 * c1 - l2 * a1, l0 * c2 - l2 * a2,
-        l1 * a0 - l0 * b0, l1 * a1 - l0 * b1, l1 * a2 - l0 * b2,
-    ]
+    out = np.empty((f.shape[1], 4, 3))
+    out[:, 0] = f.T @ Q.T
+    out[:, 1:, 0] = l2 * Q[:, 1] - l1 * Q[:, 2]
+    out[:, 1:, 1] = l0 * Q[:, 2] - l2 * Q[:, 0]
+    out[:, 1:, 2] = l1 * Q[:, 0] - l0 * Q[:, 1]
+    return out.reshape(-1, EMBEDDED_DIM)
 
 
 def embedded_field(params: SeekParams) -> SingularField:
-    """The R^12 coordinate field of the transformed kinematics.
+    """The R^12 field of the transformed kinematics on [p, rows of Q].
 
-    Translation rows carry sum_i f_i q_i; each rotation-column row j carries
-    sum_{i,k} L_i eps_{ijk} q_k, the cross-product structure written without
-    reference to the group so that state Jacobians are plain matrices.
+    dp = Q f and dQ = Q hat(L), with f and L from _frame_vectors and no
+    sqrt(w) factor: the averaging engine applies it. Row i of dQ is q_i x L,
+    written without reference to the group so that state Jacobians are
+    plain matrices: f^T in the translation rows and -hat(L) on the diagonal
+    of the rotation rows.
 
     The callbacks keep SingularField's contract, and func picks its kernel
     by tau: a tau array gets the broadcast rows of shape (len(tau), 12)
-    (_embedded_rows), and a scalar tau gets the 12 floats of
-    _embedded_rates as a list, for a state given as a list of floats or as
-    an array. jac_x and jac_z take tau arrays only.
+    (_embedded_rows), and a scalar tau gets _rigid_rates's 12 floats as a
+    list, for a state given as a list of floats or as an array. jac_x and
+    jac_z take tau arrays only.
     """
     alpha, ndarray = params.alpha, np.ndarray
 
@@ -412,26 +367,22 @@ def embedded_field(params: SeekParams) -> SingularField:
         # an exact type test on a local name: on a float tau, the sweep's RK4
         # stages pay ~40 ns a call more for isinstance(tau, np.ndarray)
         if type(tau) is ndarray:
-            f, lam = _embedded_frame(float(z[0]), sigma, tau, alpha)
+            f, lam = _embedded_frame(z[0], sigma, tau, alpha)
             return _embedded_rows(np.asarray(x, float), f, lam)
-        return _embedded_rates(x, float(z[0]), sigma, tau, alpha)
+        return _rigid_rates(x[3:12], *_frame_vectors(z[0], sigma, tau, alpha))
 
     def jac_x(x, z, t, sigma, taus):
-        f, lam = _embedded_frame(float(z[0]), sigma, taus, alpha)
-        jac = np.zeros((len(taus), 12, 12))
-        eye = np.eye(3)
+        f, (l0, l1, l2) = _embedded_frame(z[0], sigma, taus, alpha)
+        zero = np.zeros_like(l0)
+        minus_hat = np.moveaxis(np.array([[zero, l2, -l1], [-l2, zero, l0], [l1, -l0, zero]]), 2, 0)
+        jac = np.zeros((len(taus), 4, 3, 4, 3))
         for i in range(3):
-            jac[:, 0:3, 3 + 3 * i : 6 + 3 * i] = f[i][:, None, None] * eye
-        jac[:, 3:6, 6:9] = lam[2][:, None, None] * eye
-        jac[:, 3:6, 9:12] = -lam[1][:, None, None] * eye
-        jac[:, 6:9, 9:12] = lam[0][:, None, None] * eye
-        jac[:, 6:9, 3:6] = -lam[2][:, None, None] * eye
-        jac[:, 9:12, 3:6] = lam[1][:, None, None] * eye
-        jac[:, 9:12, 6:9] = -lam[0][:, None, None] * eye
-        return jac
+            jac[:, 0, i, 1 + i] = f.T
+            jac[:, 1 + i, :, 1 + i] = minus_hat
+        return jac.reshape(-1, EMBEDDED_DIM, EMBEDDED_DIM)
 
     def jac_z(x, z, t, sigma, taus):
-        fz, lamz = _embedded_frame_dz(float(z[0]), sigma, taus, alpha)
+        fz, lamz = _embedded_frame_dz(z[0], sigma, taus, alpha)
         return _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
 
     return SingularField(
@@ -452,15 +403,16 @@ def embedded_system(
     """Package the embedded kinematics as a slow/fast averaging problem.
 
     The fast state is the filter value with g(x, z) = c(p, t) - z and
-    quasi-steady map phi(x) = c(p, t); the oscillatory drift is entirely in
-    the sqrt(w) slot, so f2 is None, the zero order-one field.
+    quasi-steady map phi(x) = c(p, t); g and phi answer their fast_dim = 1
+    value as a one-element list. The oscillatory drift is entirely in the
+    sqrt(w) slot, so f2 is None, the zero order-one field.
     """
 
     def g(x, z, t):
-        return np.array([field.strength(x[0:3], t) - float(z[0])])
+        return [field.strength(x[0:3], t) - z[0]]
 
     def phi(x, t):
-        return np.array([field.strength(x[0:3], t)])
+        return [field.strength(x[0:3], t)]
 
     def phi_jac(x, t):
         out = np.zeros((1, EMBEDDED_DIM))
@@ -503,31 +455,25 @@ def compute_A_numeric(
     ssys = embedded_system(params, field, validate=False)
     averaged = avgcore.rora_reduce(ssys)
     rng = np.random.default_rng(seed)
-    rows, rhs = [], []
+    us, ws = [], []
     rotation_residual = 0.0
     for _ in range(n_probes):
         p = rng.normal(0.0, 2.0, 3)
         Q = rot_exp(rng.normal(0.0, 1.0, 3))
-        x = embed_columns(p, Q)
-        v = averaged(x, 0.0)
+        v = averaged(embed_columns(p, Q), 0.0)
         rotation_residual = max(rotation_residual, float(np.abs(v[3:]).max()))
-        u = Q.T @ field.gradient(p, 0.0)
-        w = Q.T @ v[0:3]
-        for i in range(3):
-            row = np.zeros(9)
-            row[3 * i : 3 * i + 3] = u
-            rows.append(row)
-            rhs.append(w[i])
-    rows = np.array(rows)
-    rhs = np.array(rhs)
-    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    fit_residual = float(np.abs(rows @ coeffs - rhs).max())
+        us.append(Q.T @ field.gradient(p, 0.0))
+        ws.append(Q.T @ v[0:3])
+    # each probe's w = A u is a row of U A^T = W
+    us, ws = np.array(us), np.array(ws)
+    coeffs, *_ = np.linalg.lstsq(us, ws, rcond=None)
+    fit_residual = float(np.abs(us @ coeffs - ws).max())
     if fit_residual > _FIT_TOL:
         raise ArithmeticError(
             "averaged translation drift does not fit the Q A Q^T grad c form "
             f"(residual {fit_residual:.3e}); averaging conventions are inconsistent"
         )
-    return coeffs.reshape(3, 3), rotation_residual, fit_residual
+    return coeffs.T, rotation_residual, fit_residual
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +485,10 @@ def _seek_dt(params: SeekParams, settings: IntegratorSettings) -> float:
     return min(params.tau_period / params.omega / settings.steps_per_period, params.mu)
 
 
-def _projected_trajectory(rhs_flat, params, field, p0, M0, z0, t0, tf, settings, sample_dt):
+def _projected_trajectory(rates, params, field, p0, M0, z0, t0, tf, settings, sample_dt):
     y0 = np.concatenate([as_vec3(p0), as_mat3(M0).ravel(), [float(z0)]])
     return integrate(
-        lambda t, y: rhs_flat(t, y, params, field), y0, t0, t0 + tf, settings,
+        lambda t, y: rates(y[0:3], y[3:12], y[12], t, params, field), y0, t0, t0 + tf, settings,
         rotation_blocks=_ROT_BLOCK, dt=_seek_dt(params, settings), sample_dt=sample_dt,
     )
 
@@ -561,7 +507,7 @@ def full_trajectory(
 ) -> Trajectory:
     """Integrate the literal closed loop; states are [p, R rows, z]."""
     return _projected_trajectory(
-        _full_rhs_flat, params, field, p0, R0, z0, t0, tf, settings, sample_dt
+        _full_rates, params, field, p0, R0, z0, t0, tf, settings, sample_dt
     )
 
 
@@ -579,7 +525,7 @@ def transformed_trajectory(
 ) -> Trajectory:
     """Integrate the co-rotating representation; states are [p, Q rows, z]."""
     return _projected_trajectory(
-        _transformed_rhs_flat, params, field, p0, Q0, z0, t0, tf, settings, sample_dt
+        _transformed_rates, params, field, p0, Q0, z0, t0, tf, settings, sample_dt
     )
 
 

@@ -249,6 +249,41 @@ def test_wrong_period_rejected():
         TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, math.pi), omega=10.0)
 
 
+def scalar_tau_only(x, t, sigma, tau):
+    # the old contract: math.sin takes a scalar tau only
+    return np.array([math.sin(tau) * x[1], 0.0])
+
+
+def columns_per_node(x, t, sigma, tau):
+    # shape (dim, len(tau)) on a grid: one column per node in place of one row
+    return np.array([np.sin(tau) * x[1], 0.0 * np.asarray(tau)])
+
+
+@pytest.mark.parametrize(
+    "func, detail",
+    [(scalar_tau_only, "it raised TypeError"), (columns_per_node, r"got \(2, 64\)")],
+    ids=["raises", "wrong-shape"],
+)
+def test_grid_func_breaking_the_contract_names_it(func, detail):
+    # both answer a scalar tau correctly, so the periodicity check passes and
+    # the zero-mean check's tau grid is the first to see the fault
+    bad = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI)
+    with pytest.raises(ValueError, match=r"func must accept a 1-D tau array and return "
+                                         r"shape \(64, 2\)") as info:
+        TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
+    assert info.match(detail)
+
+
+@pytest.mark.parametrize(
+    "phi", [lambda x, t: x[0], lambda x, t: np.append(x, x)], ids=["scalar", "two-values"]
+)
+def test_phi_not_answering_fast_dim_values_rejected(phi):
+    f = SingularField(dim=1, fast_dim=1, func=lambda x, z, t, s, tau: np.zeros(1),
+                      T1=TWO_PI, T2=TWO_PI)
+    with pytest.raises(ValueError, match=r"phi must return fast_dim = 1 values"):
+        SingularSystem(f1=f, f2=f, g=lambda x, z, t: x - z, phi=phi, mu=0.1, omega=10.0)
+
+
 def test_singular_equilibrium_violation_rejected():
     f = SingularField(dim=1, fast_dim=1, func=lambda x, z, t, s, tau: np.zeros(1),
                       T1=TWO_PI, T2=TWO_PI)

@@ -1,5 +1,6 @@
 """Import hygiene: an unused-import scan over the package and the test
-suite, and what importing the package pulls in.
+suite, what importing the package pulls in, and the names the benchmark
+under perfbench/ calls.
 
 A name bound by an import must be read somewhere in the same module, or be
 listed in its __all__. Imports under `if TYPE_CHECKING:` or in `try:`
@@ -7,6 +8,7 @@ fallbacks are not used in this code base, so no exemption is made for them.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -80,3 +82,83 @@ def test_sweep_leaves_numpy_random_and_thread_pool_unloaded():
         "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])",
     ])
     assert run_python(code) == "[]"
+
+
+# the local names perfbench binds to recavg's layers, and the module of each
+LAYERS = {
+    "geom3": "recavg.geom3",
+    "odeint": "recavg.odeint",
+    "avgcore": "recavg.avgcore",
+    "seek3d": "recavg.seek3d",
+    "runner": "recavg.runner",
+    "artifacts": "recavg.runner.artifacts",
+    "verify": "recavg.runner.verify",
+}
+
+
+def _layer_of(node):
+    """The layer of a lib.<layer> or <x>.lib.<layer> expression, else None."""
+    if isinstance(node, ast.Attribute) and node.attr in LAYERS:
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id == "lib") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "lib"
+        ):
+            return node.attr
+    return None
+
+
+def layer_names(source: str):
+    """(layer, name) of every lib.<layer>.<name> chain, and of every
+    <local>.<name> where the file binds <local> = lib.<layer> (also by tuple
+    assignment). A local that shares a layer's name but holds something
+    else is not a layer."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and _layer_of(value):
+                        bound[name.id] = _layer_of(value)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if _layer_of(owner):
+                found.add((_layer_of(owner), node.attr))
+            elif isinstance(owner, ast.Name) and owner.id in bound:
+                found.add((bound[owner.id], node.attr))
+    return found
+
+
+def test_scan_finds_layer_names():
+    source = "\n".join([
+        "lib.seek3d.embed_columns(p)",
+        "ctx.lib.runner.run_sweep()",
+        "odeint, n = lib.odeint, 3",
+        "odeint.integrate()",
+        "verify = workloads['verify-gain']",
+        "verify.check()",
+        "x.seek3d.y",
+    ])
+    assert layer_names(source) == {
+        ("seek3d", "embed_columns"), ("runner", "run_sweep"), ("odeint", "integrate"),
+    }
+
+
+def test_names_the_benchmark_calls_exist():
+    # the traced benchmark is the only caller of some of these names, and no
+    # other test runs it: a rename would break it unseen
+    found = set().union(*(layer_names(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")))
+    names = {name for _, name in found}
+    for name in ("embed_columns", "integrate_projected", "RigidState", "full_rhs",
+                 "transformed_rhs", "rora_rhs", "rot_exp"):
+        assert name in names
+    missing = sorted(
+        f"{LAYERS[layer]}.{name}" for layer, name in found
+        if not hasattr(importlib.import_module(LAYERS[layer]), name)
+    )
+    assert missing == []

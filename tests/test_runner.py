@@ -484,6 +484,9 @@ def test_cli_plot_missing_paths_are_config_errors(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+DIRECTORY = object()
+
+
 @pytest.mark.parametrize(
     "summary, key",
     [
@@ -495,16 +498,20 @@ def test_cli_plot_missing_paths_are_config_errors(tmp_path, capsys):
         ({"scenario": "x", "files": {"csv": {}}, "field_spec": {}}, "'field_spec'"),
         (b"not json", "not valid UTF-8 JSON"),
         (b"\xff\xfe{}", "not valid UTF-8 JSON"),
+        (DIRECTORY, "cannot read run summary"),
     ],
     ids=[
         "no-files", "list-root", "no-scenario", "csv-not-paths", "spec-string", "spec-no-kind",
-        "not-json", "not-utf8",
+        "not-json", "not-utf8", "directory",
     ],
 )
 def test_cli_plot_malformed_summary_is_config_error(tmp_path, capsys, summary, key):
-    # bytes are written as they stand, anything else as its JSON text
+    # bytes are written as they stand, DIRECTORY makes the summary path a
+    # directory, and anything else is written as its JSON text
     path = tmp_path / "x_summary.json"
-    if isinstance(summary, bytes):
+    if summary is DIRECTORY:
+        path.mkdir()
+    elif isinstance(summary, bytes):
         path.write_bytes(summary)
     else:
         path.write_text(json.dumps(summary))
@@ -512,6 +519,26 @@ def test_cli_plot_malformed_summary_is_config_error(tmp_path, capsys, summary, k
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.count("\n") == 1
     assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "t,px\n0.0,abc\n",
+        "t,px,py\n0.0,1.0,2.0\n1.0,2.0\n",
+        "t,px\n0.0,1.0\n1.0,2.0\n",
+    ],
+    ids=["not-numeric", "ragged", "two-columns"],
+)
+def test_cli_plot_bad_trajectory_csv_is_config_error(tmp_path, capsys, body):
+    csv = tmp_path / "x_full.csv"
+    csv.write_text(body)
+    summary = {"scenario": "x", "files": {"csv": {"full": str(csv)}}}
+    (tmp_path / "x_summary.json").write_text(json.dumps(summary))
+    assert main(["plot", "--in", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "'full'" in err and str(csv) in err
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_summary_comparisons_match_csv_maxima(tmp_path):

@@ -24,16 +24,15 @@ from recavg.seek3d import (
     full_rhs,
     full_trajectory,
     initial_Q,
-    manifold_defect,
     reconstruct_R,
     rora_rhs,
     rora_trajectory,
     signal_field,
-    split_columns,
     transformed_rhs,
     transformed_trajectory,
 )
 
+import embedded_oracle as columns
 from rk4_oracle import numpy_integrate
 
 PARAMS = SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2))
@@ -233,16 +232,17 @@ def test_kernels_match_reference_forms():
         t = float(rng.uniform(0.0, 200.0))
         y = np.concatenate([p, M.ravel(), [z]])
         views = (
-            (seek3d._full_rhs_flat, full_rhs(RigidState(p, M, z), t, PARAMS, field),
+            (seek3d._full_rates, full_rhs(RigidState(p, M, z), t, PARAMS, field),
              reference_full_rhs),
-            (seek3d._transformed_rhs_flat, transformed_rhs(p, M, z, t, PARAMS, field),
+            (seek3d._transformed_rates, transformed_rhs(p, M, z, t, PARAMS, field),
              reference_transformed_rhs),
         )
-        for flat, public, reference in views:
+        for rates, public, reference in views:
             dp, dM, dz = reference(p, M, z, t, PARAMS, field)
             expected = np.concatenate([dp, dM.ravel(), [dz]])
             tol = 1e-12 * np.maximum(1.0, np.abs(expected))
-            assert np.all(np.abs(flat(t, y, PARAMS, field) - expected) <= tol)
+            got = rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
+            assert np.all(np.abs(got - expected) <= tol)
             got = np.concatenate([public[0], public[1].ravel(), [public[2]]])
             assert np.all(np.abs(got - expected) <= tol)
         sigma = math.sqrt(PARAMS.omega) * t
@@ -272,12 +272,13 @@ def test_float_path_matches_array_path():
         t0 = float(rng.uniform(0.0, 50.0))
         y0 = np.concatenate([rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)).ravel(),
                              [float(rng.normal(0.0, 2.0))]])
-        for flat in (seek3d._full_rhs_flat, seek3d._transformed_rhs_flat):
+        for rates in (seek3d._full_rates, seek3d._transformed_rates):
+            flat = lambda t, y: rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
             runs = [
                 run(rhs, y0, t0, t0 + 20 * dt, settings, rotation_blocks=(3,), dt=dt)
                 for run, rhs in (
-                    (integrate, lambda t, y: flat(t, y, PARAMS, field)),
-                    (numpy_integrate, lambda t, y: np.array(flat(t, y, PARAMS, field))),
+                    (integrate, flat),
+                    (numpy_integrate, lambda t, y: np.array(flat(t, y))),
                 )
             ]
             # 20 steps at stride 3: samples after steps 3, 6, ..., 18 and 20
@@ -313,7 +314,7 @@ def test_embedded_translation_at_reference_phases():
 
 
 def test_embedded_field_matches_transformed_rhs():
-    # the R^12 field scaled by sqrt(w) is the co-rotating dynamics of (p, Q)
+    # the R^12 field is the co-rotating dynamics of (p, Q) without z, over sqrt(w)
     f1 = embedded_field(PARAMS)
     sqw = math.sqrt(PARAMS.omega)
     rng = np.random.default_rng(28)
@@ -322,11 +323,9 @@ def test_embedded_field_matches_transformed_rhs():
         Q = rot_exp(rng.normal(size=3))
         z = float(rng.normal())
         t = float(rng.uniform(0.0, 50.0))
-        v = sqw * np.asarray(
-            f1.func(embed_columns(p, Q), np.array([z]), t, sqw * t, PARAMS.omega * t)
-        )
-        dp, dQ, _ = transformed_rhs(p, Q, z, t, PARAMS, STATIC)
-        assert np.abs(v - np.concatenate([dp, dQ[:, 0], dQ[:, 1], dQ[:, 2]])).max() < 1e-12
+        got = f1.func(embed_columns(p, Q).tolist(), [z], t, sqw * t, PARAMS.omega * t)
+        rates = seek3d._transformed_rates(p, Q.ravel().tolist(), z, t, PARAMS, STATIC)
+        assert np.abs(np.array(got) - np.array(rates[:12]) / sqw).max() < 1e-12
 
 
 def test_embedded_field_periodicity():
@@ -414,20 +413,22 @@ def test_embedded_callbacks_match_four_piece_reference():
 
 
 def reference_embedded_rows(x, f, lam):
-    """The np.stack / np.outer form of the embedded rows that the broadcast replaced."""
-    q1, q2, q3 = x[3:6], x[6:9], x[9:12]
-    out = np.empty((f.shape[1], 12))
-    out[:, 0:3] = f.T @ np.stack([q1, q2, q3])
-    out[:, 3:6] = np.outer(lam[2], q2) - np.outer(lam[1], q3)
-    out[:, 6:9] = np.outer(lam[0], q3) - np.outer(lam[2], q1)
-    out[:, 9:12] = np.outer(lam[1], q1) - np.outer(lam[0], q2)
-    return out
+    """The np.outer form of the rows-layout field: Q f, then q_i x L for each row q_i."""
+    Q = x[3:12].reshape(3, 3)
+    out = np.empty((f.shape[1], 4, 3))
+    out[:, 0] = f.T @ Q.T
+    out[:, 1:, 0] = np.outer(lam[2], Q[:, 1]) - np.outer(lam[1], Q[:, 2])
+    out[:, 1:, 1] = np.outer(lam[0], Q[:, 2]) - np.outer(lam[2], Q[:, 0])
+    out[:, 1:, 2] = np.outer(lam[1], Q[:, 0]) - np.outer(lam[0], Q[:, 1])
+    return out.reshape(-1, 12)
 
 
 def test_embedded_rows_match_outer_product_reference():
-    # the same products and sums in the same order: equal bit for bit, for
-    # the frame pieces and their z-derivatives as built, and for arbitrary
-    # (f, L) of every grid size from 1 to 130
+    # the same products and sums in the same order as np.outer's: equal bit
+    # for bit; against the column layout, the rotation rows are equal bit for
+    # bit and the translation rows, one matmul on Q^T's other memory order,
+    # close to rounding; for the frame pieces and their z-derivatives as
+    # built, and for arbitrary (f, L) of every grid size from 1 to 130
     rng = np.random.default_rng(33)
     for i in range(260):
         m = 1 + i % 130
@@ -441,10 +442,53 @@ def test_embedded_rows_match_outer_product_reference():
         got = seek3d._embedded_rows(x, f, lam)
         assert got.shape == (m, 12)
         assert np.array_equal(got, reference_embedded_rows(x, f, lam)), i
+        want = columns.values_to_rows(columns.embedded_rows(x[columns.COLUMNS], f, lam))
+        assert np.array_equal(got[:, 3:], want[:, 3:]), i
+        assert _close(got[:, 0:3], want[:, 0:3]), i
+
+
+@pytest.mark.parametrize("kind", ["static", "orbit"])
+def test_embedded_callbacks_match_column_oracle(kind):
+    # the rows-layout callbacks against the column-layout kernels they
+    # replaced, under the column <-> row permutation, with z on the slow
+    # manifold as the sweep and the averaging evaluate them
+    field = signal_field(kind)
+    rng = np.random.default_rng(34)
+    for i in range(200):
+        params = SeekParams(alpha=float(rng.uniform(0.05, 2.0)), omega=1.0, mu=1.0)
+        f1 = embedded_field(params)
+        reduced = avgcore.reduce_to_slow_manifold(
+            embedded_system(params, field, validate=False), validate=False
+        ).f1
+        x = embed_columns(rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)))
+        t = float(rng.uniform(0.0, 200.0))
+        sigma, tau = float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-20.0, 20.0))
+        taus = rng.uniform(-20.0, 20.0, 1 + i % 9)
+        z = field.strength(x[0:3], t)
+        xc = x[columns.COLUMNS]
+
+        want = columns.values_to_rows(columns.embedded_rates(xc.tolist(), z, sigma, tau,
+                                                             params.alpha))
+        for state in (x, x.tolist()):
+            assert _close(np.array(f1.func(state, [z], t, sigma, tau)), want), i
+            assert _close(np.array(reduced.func(state, t, sigma, tau)), want), i
+
+        f, lam = seek3d._embedded_frame(z, sigma, taus, params.alpha)
+        fz, lamz = seek3d._embedded_frame_dz(z, sigma, taus, params.alpha)
+        rows_c = columns.embedded_rows(xc, f, lam)
+        jac_x_c = columns.jac_x(f, lam)
+        jac_z_c = columns.embedded_rows(xc, fz, lamz)
+        dphi_c = np.concatenate([field.gradient(x[0:3], t), np.zeros(9)])
+        assert _close(f1.func(x, [z], t, sigma, taus), columns.values_to_rows(rows_c)), i
+        assert _close(f1.jac_x(x, [z], t, sigma, taus), columns.jacobians_to_rows(jac_x_c)), i
+        assert _close(f1.jac_z(x, [z], t, sigma, taus)[:, :, 0],
+                      columns.values_to_rows(jac_z_c)), i
+        composed = jac_x_c + jac_z_c[:, :, None] * dphi_c
+        assert _close(reduced.jac(x, t, sigma, taus), columns.jacobians_to_rows(composed)), i
 
 
 def test_embedded_float_kernel_matches_array_rows():
-    # embedded_field.func on a list state at scalar tau runs _embedded_rates;
+    # embedded_field.func on a list state at scalar tau runs _rigid_rates;
     # the broadcast array rows at the same tau are its oracle, with z on the
     # slow manifold of each field, as the sweep evaluates it
     rng = np.random.default_rng(33)
@@ -469,6 +513,18 @@ def test_embedded_float_kernel_matches_array_rows():
             assert reduced.f1.func(x.tolist(), t, sigma, tau) == got, (kind, i)
 
 
+def manifold_defect(x) -> float:
+    """Deviation of the embedded rows of Q from the group structure.
+
+    Checks both orthonormality q_i . q_j = delta_ij and the orientation
+    (right-handedness) relations q_i x q_j = q_k for cyclic (i, j, k).
+    """
+    Q = np.asarray(x[3:12]).reshape(3, 3)
+    ortho = np.abs(Q @ Q.T - np.eye(3)).max()
+    cross = max(np.abs(np.cross(Q[i], Q[(i + 1) % 3]) - Q[(i + 2) % 3]).max() for i in range(3))
+    return float(max(ortho, cross))
+
+
 def test_embedded_simulation_preserves_manifold():
     from recavg.avgcore import simulate_singular
 
@@ -484,12 +540,13 @@ def test_embedded_simulation_preserves_manifold():
 
 
 def test_embed_split_round_trip():
+    # the embedded layout is the transformed state's without z: [p, rows of Q]
     rng = np.random.default_rng(27)
     p = rng.normal(size=3)
     Q = rot_exp(rng.normal(size=3))
-    p2, Q2 = split_columns(embed_columns(p, Q))
-    assert np.array_equal(p, p2)
-    assert np.abs(Q - Q2).max() == 0.0
+    x = embed_columns(p, Q)
+    assert np.array_equal(x[0:3], p)
+    assert np.array_equal(x[3:12].reshape(3, 3), Q)
 
 
 # --- averaged gain ----------------------------------------------------------------
