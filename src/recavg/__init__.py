@@ -17,7 +17,6 @@ Library layout:
 
 from . import avgcore, geom3, odeint, seek3d
 from .avgcore import (
-    AveragedSystem,
     ConvergenceReport,
     QuadratureSettings,
     SingularField,
@@ -38,7 +37,6 @@ from .seek3d import SeekParams, SignalField, signal_field
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedSystem",
     "ConvergenceReport",
     "DivergenceError",
     "IntegratorSettings",

@@ -227,17 +227,6 @@ class SingularSystem:
 
 
 @dataclass(frozen=True)
-class AveragedSystem:
-    """Autonomous-in-fast-time drift field: evaluator (x, t) -> dx/dt."""
-
-    dim: int
-    func: Callable
-
-    def __call__(self, x, t):
-        return np.asarray(self.func(x, t), dtype=float)
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Sup-error sweep over omega with the fitted log-log slope."""
 
@@ -400,8 +389,9 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n):
 
 def average_fields(
     sys: TwoScaleSystem, settings: QuadratureSettings = QuadratureSettings()
-) -> AveragedSystem:
-    """Averaged drift of a two-timescale system, by refined double quadrature.
+) -> Callable:
+    """Averaged drift of a two-timescale system, by refined double quadrature:
+    a callable (x, t) -> dx/dt that returns an array of dim floats.
 
     Every evaluation re-quadratures from scratch, doubling the nodes per
     period until two successive results agree within settings.tol. The
@@ -424,7 +414,7 @@ def average_fields(
             f"{settings.max_refinements} refinements"
         )
 
-    return AveragedSystem(dim=sys.dim, func=func)
+    return func
 
 
 def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoScaleSystem:
@@ -472,8 +462,9 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
 
 def rora_reduce(
     ssys: SingularSystem, settings: QuadratureSettings = QuadratureSettings()
-) -> AveragedSystem:
-    """Reduced-order averaged drift: slow-manifold substitution, then averaging."""
+) -> Callable:
+    """Reduced-order averaged drift, a callable (x, t) -> dx/dt: slow-manifold
+    substitution, then average_fields."""
     return average_fields(reduce_to_slow_manifold(ssys, validate=False), settings)
 
 
@@ -576,7 +567,7 @@ def simulate_singular(
 
 
 def simulate_averaged(
-    asys: AveragedSystem,
+    drift: Callable,
     x0,
     t0: float,
     tf: float,
@@ -584,13 +575,14 @@ def simulate_averaged(
     *,
     sample_dt: float = None,
 ) -> Trajectory:
-    """Integrate the averaged drift dx/dt = asys(x, t).
+    """Integrate dx/dt = drift(x, t) for drift a callable (x, t) -> dx/dt.
 
     Averaged fields are order-one by construction, so the step is
-    1 / steps_per_period time units.
+    1 / steps_per_period time units. A drift that answers with a list of
+    floats gets the state as a list of floats (odeint's float loop).
     """
     return integrate(
-        lambda t, x: asys(x, t), x0, t0, t0 + tf, settings,
+        lambda t, x: drift(x, t), x0, t0, t0 + tf, settings,
         dt=1.0 / settings.steps_per_period, sample_dt=sample_dt,
     )
 
@@ -606,16 +598,17 @@ def convergence_study(
     omegas: Sequence[float],
     settings: IntegratorSettings = IntegratorSettings(),
     *,
-    reference: AveragedSystem = None,
+    reference: Callable = None,
 ) -> ConvergenceReport:
     """Sup-error between the oscillatory system and its averaged limit per omega.
 
     A SingularSystem is simulated with the fast state pinned to its
     quasi-steady value z = phi(x, t), the hypothesis class of the averaging
     error bound. Errors are measured on the slow-state block only, at 400
-    equal sample intervals of [t0, t0 + tf]. The reference defaults to the
-    averaged system built with the default QuadratureSettings; passing a
-    closed form avoids re-quadrature at every reference step.
+    equal sample intervals of [t0, t0 + tf]. The reference, a callable
+    (x, t) -> dx/dt, defaults to the averaged drift built with the default
+    QuadratureSettings; passing a closed form avoids re-quadrature at every
+    reference step.
 
     The omegas run one after another, each on the step of simulate_two_scale;
     the largest one's step plan is checked before any run.

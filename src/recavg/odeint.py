@@ -63,10 +63,6 @@ class Trajectory:
         return self.times.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -198,16 +194,20 @@ def integrate(
 
     rotation_blocks is a list of start offsets; block i occupies coordinates
     [start, start + 9) holding a row-major rotation matrix. Each block must
-    start near SO(3). When settings.projection is set, every block is
-    reprojected onto SO(3) after every step; otherwise the blocks drift.
+    start near SO(3), not near a reflection. When settings.projection is
+    set, every block is reprojected onto SO(3) after every step; otherwise
+    the blocks drift.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     x0 = np.asarray(x0, dtype=float)
     for start in rotation_blocks:
-        if so3_defect(x0[start : start + 9].reshape(3, 3)) > 0.5:
+        block = x0[start : start + 9].reshape(3, 3)
+        det = float(np.linalg.det(block))
+        if so3_defect(block) > 0.5 or det < 0.0:
             raise ValueError(
-                f"initial rotation block at offset {start} is not near SO(3)"
+                f"initial rotation block at offset {start} is not near SO(3) "
+                f"(determinant {det:.3g})"
             )
     projected = tuple(rotation_blocks) if settings.projection else ()
     step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt, settings.sample_stride)

@@ -49,7 +49,7 @@ def parse_pi_value(value, where: str = "value") -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete experiment description for the scenario runner."""
+    """A complete experiment description, as scenario_from_dict validates it."""
 
     name: str
     params: SeekParams
@@ -59,8 +59,8 @@ class Scenario:
     R0: np.ndarray
     z0: object  # float or the string "slow-manifold"
     t_final: float
-    integrator: IntegratorSettings = IntegratorSettings()
-    representations: tuple = REPRESENTATIONS
+    integrator: IntegratorSettings
+    representations: tuple
 
     def initial_z(self, t0: float = 0.0) -> float:
         if self.z0 == "slow-manifold":
@@ -140,6 +140,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     R0 = _collect(errors, "R0", lambda: as_mat3(r0_doc))
     if R0 is not None and so3_defect(R0) > 0.5:
         errors.append("R0: not within projection tolerance of a rotation matrix")
+    elif R0 is not None and np.linalg.det(R0) < 0.0:
+        errors.append(f"R0: determinant {np.linalg.det(R0):.3g}, a reflection, not a rotation")
 
     z0 = doc.get("z0", "slow-manifold")
     if z0 != "slow-manifold":

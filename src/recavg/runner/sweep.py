@@ -15,18 +15,15 @@ import os
 import numpy as np
 
 from .. import avgcore, seek3d
-from ..avgcore import AveragedSystem, ConvergenceReport
+from ..avgcore import ConvergenceReport
 from .artifacts import write_csv
 from .config import Scenario
 
 
-def closed_form_reference(field) -> AveragedSystem:
-    """The averaged drift on the embedded state [p, rows of Q], the rora state."""
-
-    def func(x, t):
-        return seek3d._rora_rates(x[0:3], x[3:12], t, field)
-
-    return AveragedSystem(dim=seek3d.EMBEDDED_DIM, func=func)
+def closed_form_reference(field):
+    """The averaged drift (x, t) -> dx/dt on the embedded state [p, rows of Q],
+    the rora state, as a list of 12 floats."""
+    return lambda x, t: seek3d._rora_rates(x[0:3], x[3:12], t, field)
 
 
 def run_sweep(

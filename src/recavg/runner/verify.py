@@ -57,10 +57,9 @@ def sincos_test_system() -> TwoScaleSystem:
     """
 
     def f1(x, t, sigma, tau):
-        tau = np.asarray(tau)
+        if np.ndim(tau) == 0:  # [sin(tau) x1, cos(tau) x0] on floats, for the RK4 loop
+            return [math.sin(tau) * x[1], math.cos(tau) * x[0]]
         v1, v2 = _B1 @ x, _B2 @ x
-        if tau.ndim == 0:
-            return math.sin(tau) * v1 + math.cos(tau) * v2
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
     def jac1(x, t, sigma, taus):

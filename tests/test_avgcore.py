@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 
 from recavg import seek3d
 from recavg.avgcore import (
-    AveragedSystem,
     QuadratureError,
     QuadratureSettings,
     SingularField,
@@ -56,10 +55,9 @@ def sincos_field(with_jac=True):
     """sin(tau) B1 x + cos(tau) B2 x as a TwoScaleField."""
 
     def func(x, t, sigma, tau):
-        tau = np.asarray(tau)
+        if np.ndim(tau) == 0:  # B1 x = (x1, 0) and B2 x = (0, x0), on floats
+            return [math.sin(tau) * x[1], math.cos(tau) * x[0]]
         v1, v2 = B1 @ x, B2 @ x
-        if tau.ndim == 0:
-            return math.sin(tau) * v1 + math.cos(tau) * v2
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
     jac = None
@@ -230,6 +228,26 @@ def test_shipped_fields_keep_the_field_contract(make_field):
         assert np.array_equal(np.asarray(from_array, float), np.asarray(from_list, float))
         assert np.shape(f.func(x, t, sigma, taus)) == (n, f.dim)
         assert np.shape(f.jac(x, t, sigma, taus)) == (n, f.dim, f.dim)
+
+
+@pytest.mark.parametrize(
+    "make_field", [sincos_field, lambda: sincos_test_system().f1], ids=["test", "verify"]
+)
+def test_sincos_float_form_matches_numpy_form(make_field):
+    # the scalar-tau answer [sin(tau) x1, cos(tau) x0] against the numpy form
+    # sin(tau) B1 x + cos(tau) B2 x: the same products, so equal floats; the
+    # tau-grid path takes numpy's sin and cos, so it agrees to rounding
+    f = make_field()
+    rng = np.random.default_rng(2016)
+    for _ in range(250):
+        x = rng.normal(0.0, 3.0, 2)
+        tau = float(rng.uniform(-50.0, 50.0))
+        numpy_form = math.sin(tau) * (B1 @ x) + math.cos(tau) * (B2 @ x)
+        got = f.func(x.tolist(), 0.0, 0.0, tau)
+        assert isinstance(got, list) and all(type(v) is float for v in got)
+        assert np.array_equal(got, numpy_form)
+        grid = f.func(x, 0.0, 0.0, np.array([tau]))[0]
+        assert np.allclose(got, grid, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
 
 # --- construction-time assumption checks ------------------------------------
@@ -608,17 +626,17 @@ def test_simulate_two_scale_float_path_matches_array_rhs(kind):
 
 
 def test_simulate_averaged_zero_field_constant():
-    asys = AveragedSystem(dim=2, func=lambda x, t: np.zeros(2))
     x0 = np.array([2.0, 3.0])
-    traj = simulate_averaged(asys, x0, 0.0, 1.0)
+    traj = simulate_averaged(lambda x, t: np.zeros(2), x0, 0.0, 1.0)
     assert np.abs(traj.states - x0).max() == 0.0
 
 
 def test_simulate_averaged_linear_closed_form():
     drift = -0.5 * COMMUTATOR  # diag(1/2, -1/2)
-    asys = AveragedSystem(dim=2, func=lambda x, t: drift @ x)
     x0 = np.array([1.0, 2.0])
-    traj = simulate_averaged(asys, x0, 0.0, 2.0, IntegratorSettings(steps_per_period=256))
+    traj = simulate_averaged(
+        lambda x, t: drift @ x, x0, 0.0, 2.0, IntegratorSettings(steps_per_period=256)
+    )
     expected = np.array([x0[0] * math.exp(1.0), x0[1] * math.exp(-1.0)])
     assert np.abs(traj.final_state - expected).max() < 1e-8
 

@@ -162,3 +162,16 @@ def test_names_the_benchmark_calls_exist():
         if not hasattr(importlib.import_module(LAYERS[layer]), name)
     )
     assert missing == []
+
+
+def test_benchmark_selfcheck_passes():
+    # the self-check runs every workload at its tiny size, so it also catches a
+    # keyword or field that perfbench uses and the library dropped (QuadratureSettings'
+    # keywords, run_sweep's workers, replace(..., validate=False), reduced.f2.func);
+    # it writes only under the git-ignored .bench_out/
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")], cwd=ROOT,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    assert "selfcheck: PASS" in out.stdout

@@ -198,6 +198,18 @@ def test_projected_divergence_reported_with_time():
     assert info.value.time == pytest.approx(0.06)
 
 
+@pytest.mark.parametrize(
+    "block, det", [(np.diag([1.0, 1.0, -1.0]), "-1"), (2.0 * np.eye(3), "8")],
+    ids=["reflection", "scaled"],
+)
+def test_initial_block_off_so3_names_its_offset(block, det):
+    # a reflection has SO(3) defect 0, so the determinant's sign is checked too
+    x0 = np.concatenate([[0.0], block.ravel()])
+    with pytest.raises(ValueError, match=rf"offset 1 is not near SO\(3\) \(determinant {det}\)"):
+        integrate(lambda t, x: [0.0] * 10, x0, 0.0, 1.0, IntegratorSettings(),
+                  rotation_blocks=(1,), dt=0.01)
+
+
 def test_list_rhs_divergence_matches_array_twin():
     # finiteness is checked before projecting, for a list rhs and its array twin
     def turns_nan(t, x):

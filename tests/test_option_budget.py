@@ -12,9 +12,9 @@ import pkgutil
 
 import recavg
 
-# ROADMAP item 4 caps the count at 60; 51 is the count the code has
+# ROADMAP item 4 caps the count at 50; 49 is the count the code has
 # reached, so a new option has to replace an old one or be argued for there
-MAX_SETTABLE = 51
+MAX_SETTABLE = 49
 
 
 def settable_values():

@@ -23,6 +23,7 @@ from recavg.runner import (
 from recavg.runner.artifacts import read_csv, write_csv
 from recavg.runner.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from recavg.runner.svgplot import _Canvas, plot_lines
+from recavg.runner.sweep import closed_form_reference
 
 
 def short_config(tmp_path, **overrides):
@@ -79,6 +80,8 @@ def test_invalid_configs_list_fields(tmp_path):
         load_config(short_config(tmp_path, params={"alpha": 0.1, "omega": "4tau", "mu": 1.0}))
     with pytest.raises(ConfigError, match="R0"):
         load_config(short_config(tmp_path, R0=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    with pytest.raises(ConfigError, match="R0: determinant -1, a reflection"):
+        load_config(short_config(tmp_path, R0=REFLECTION))
     with pytest.raises(ConfigError, match="representations"):
         load_config(short_config(tmp_path, representations=["full", "avg"]))
     with pytest.raises(ConfigError, match="schema_version"):
@@ -89,6 +92,8 @@ def test_invalid_configs_list_fields(tmp_path):
         with pytest.raises(ConfigError, match=field):
             load_config(short_config(tmp_path, **{key: value}))
 
+
+REFLECTION = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]  # orthogonal, so its SO(3) defect is 0
 
 # (key, value, the field the error line must name); 1e400 reads as inf
 NON_FINITE_CONFIGS = [
@@ -364,6 +369,17 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
     assert "t_final" in capsys.readouterr().err
 
 
+def test_cli_reflected_R0_is_a_config_error(tmp_path, capsys):
+    # a reflection has SO(3) defect 0, so its determinant is checked while the
+    # config is read, before the run directory exists
+    cfg = short_config(tmp_path, R0=REFLECTION)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "R0: determinant -1" in err
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"not json"], ids=["not-utf8", "not-json"])
 def test_cli_undecodable_config_names_file(tmp_path, capsys, raw):
     cfg = tmp_path / "bad.json"
@@ -442,7 +458,9 @@ def test_cli_sweep_rejects_bad_t_final(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_sup_errors_pinned():
-    # an array rhs through integrate's list adapter, on the embedded reduced system
+    # the embedded reduced system against the rora drift, both on odeint's float loop
+    field = built_in("ex1").field
+    assert isinstance(closed_form_reference(field)([0.5] * 12, 0.0), list)
     report = run_sweep(built_in("ex1"), [4 * math.pi, 16 * math.pi, 64 * math.pi], None,
                        t_final=1.0, workers=1)
     expected = (0.8038151863536257, 0.41297483997029594, 0.20858332603642268)
