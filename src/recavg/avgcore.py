@@ -503,10 +503,19 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     return rhs
 
 
-def _forcing_dt(f, omega: float, settings: IntegratorSettings) -> float:
-    """The RK4 step: the shortest forcing period of f's T1 and T2 at omega
-    (tau = w t and sigma = sqrt(w) t) over settings.steps_per_period."""
-    return min(f.T2 / omega, f.T1 / math.sqrt(omega)) / settings.steps_per_period
+def oscillatory_step(
+    T1: float, T2: float, omega: float, mu: float, settings: IntegratorSettings
+) -> float:
+    """The RK4 step of an oscillatory system: the shorter forcing period, T2 / w
+    in tau = w t or T1 / sqrt(w) in sigma = sqrt(w) t, over steps_per_period,
+    capped at the filter time constant mu (math.inf where there is none);
+    explicit RK4 is unstable on the filter once the step exceeds ~2.8 mu."""
+    return min(min(T2 / omega, T1 / math.sqrt(omega)) / settings.steps_per_period, mu)
+
+
+def averaged_step(settings: IntegratorSettings) -> float:
+    """1 / steps_per_period time units, the RK4 step of an order-one averaged flow."""
+    return 1.0 / settings.steps_per_period
 
 
 def simulate_two_scale(
@@ -521,7 +530,8 @@ def simulate_two_scale(
     """Integrate dx/dt = sqrt(w) f1 + f2 over [t0, t0 + tf] with anchored phases."""
     return integrate(
         _two_scale_rhs(sys, t0), x0, t0, t0 + tf, settings,
-        dt=_forcing_dt(sys.f1, sys.omega, settings), sample_dt=sample_dt,
+        dt=oscillatory_step(sys.f1.T1, sys.f1.T2, sys.omega, math.inf, settings),
+        sample_dt=sample_dt,
     )
 
 
@@ -538,9 +548,8 @@ def simulate_singular(
 ) -> Trajectory:
     """Integrate the coupled slow/fast system; state is [x, z] concatenated.
 
-    The step size honors the forcing-period rule but is additionally capped
-    at mu: explicit RK4 is unstable on the filter once dt exceeds about
-    2.8 mu, and was observed to diverge under the period-only rule.
+    The step is oscillatory_step's, capped at mu: under the period-only
+    rule RK4 was observed to diverge on the filter.
     """
     n = ssys.dim
     sqw = math.sqrt(ssys.omega)
@@ -562,7 +571,8 @@ def simulate_singular(
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.atleast_1d(z0).astype(float)])
     return integrate(
         rhs, y0, t0, t0 + tf, settings, rotation_blocks=rotation_blocks,
-        dt=min(_forcing_dt(ssys.f1, ssys.omega, settings), mu), sample_dt=sample_dt,
+        dt=oscillatory_step(ssys.f1.T1, ssys.f1.T2, ssys.omega, mu, settings),
+        sample_dt=sample_dt,
     )
 
 
@@ -575,15 +585,13 @@ def simulate_averaged(
     *,
     sample_dt: float = None,
 ) -> Trajectory:
-    """Integrate dx/dt = drift(x, t) for drift a callable (x, t) -> dx/dt.
-
-    Averaged fields are order-one by construction, so the step is
-    1 / steps_per_period time units. A drift that answers with a list of
-    floats gets the state as a list of floats (odeint's float loop).
+    """Integrate dx/dt = drift(x, t) for drift a callable (x, t) -> dx/dt,
+    on averaged_step's step. A drift that answers with a list of floats
+    gets the state as a list of floats (odeint's float loop).
     """
     return integrate(
         lambda t, x: drift(x, t), x0, t0, t0 + tf, settings,
-        dt=1.0 / settings.steps_per_period, sample_dt=sample_dt,
+        dt=averaged_step(settings), sample_dt=sample_dt,
     )
 
 
@@ -591,7 +599,7 @@ def simulate_averaged(
 # convergence study
 
 def convergence_study(
-    system,
+    system: TwoScaleSystem,
     x0,
     t0: float,
     tf: float,
@@ -602,13 +610,12 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Sup-error between the oscillatory system and its averaged limit per omega.
 
-    A SingularSystem is simulated with the fast state pinned to its
-    quasi-steady value z = phi(x, t), the hypothesis class of the averaging
-    error bound. Errors are measured on the slow-state block only, at 400
-    equal sample intervals of [t0, t0 + tf]. The reference, a callable
-    (x, t) -> dx/dt, defaults to the averaged drift built with the default
-    QuadratureSettings; passing a closed form avoids re-quadrature at every
-    reference step.
+    Errors are measured at 400 equal sample intervals of [t0, t0 + tf]. The
+    reference, a callable (x, t) -> dx/dt, defaults to the averaged drift
+    built with the default QuadratureSettings; passing a closed form avoids
+    re-quadrature at every reference step. A singular system is studied as
+    reduce_to_slow_manifold(ssys), the hypothesis class of the averaging
+    error bound.
 
     The omegas run one after another, each on the step of simulate_two_scale;
     the largest one's step plan is checked before any run.
@@ -621,32 +628,25 @@ def convergence_study(
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega values must be strictly increasing")
 
-    is_singular = isinstance(system, SingularSystem)
-    x0 = np.asarray(x0, dtype=float)
-    n_slow = system.dim
     sample_dt = tf / 400.0
     # the largest omega plans the most steps; an over-long sweep stops here
-    dt = _forcing_dt(system.f1, omegas[-1], settings)
+    dt = oscillatory_step(system.f1.T1, system.f1.T2, omegas[-1], math.inf, settings)
     try:
-        _plan_steps(t0, t0 + tf, dt, sample_dt, settings.sample_stride)
+        _plan_steps(t0, t0 + tf, dt, sample_dt)
     except ValueError as exc:
         raise ValueError(f"omega = {omegas[-1]:.6g} over tf = {tf:g}: {exc}") from None
 
     if reference is None:
-        reference = rora_reduce(system) if is_singular else average_fields(system)
+        reference = average_fields(system)
     ref_traj = simulate_averaged(reference, x0, t0, tf, settings, sample_dt=sample_dt)
-
-    oscillatory = reduce_to_slow_manifold(system, validate=False) if is_singular else system
 
     def run_one(w):
         traj = simulate_two_scale(
-            replace(oscillatory, omega=w, validate=False),
-            x0, t0, tf, settings, sample_dt=sample_dt,
+            replace(system, omega=w, validate=False), x0, t0, tf, settings, sample_dt=sample_dt
         )
         if len(traj) != len(ref_traj):
             raise RuntimeError("sampling mismatch between run and reference")
-        diff = traj.states[:, :n_slow] - ref_traj.states[:, :n_slow]
-        return float(np.linalg.norm(diff, axis=1).max())
+        return float(np.linalg.norm(traj.states - ref_traj.states, axis=1).max())
 
     errors = [run_one(w) for w in omegas]
 

@@ -1,9 +1,9 @@
 """Deterministic fixed-step fourth-order integration of time-varying ODEs.
 
-The single entry point, integrate, takes the step as an explicit dt; each
-caller derives it from the time scales of its own system (the averaging
-modules from the fastest forcing period). integrate optionally renormalizes
-rotation-matrix blocks of the state after every step.
+The single entry point, integrate, takes the step as an explicit dt; the
+library's callers take it from avgcore's two step rules, oscillatory_step
+and averaged_step. integrate optionally renormalizes rotation-matrix blocks
+of the state after every step.
 """
 
 import math
@@ -30,18 +30,14 @@ class IntegratorSettings:
     steps_per_period: substeps per shortest forcing period (an integer >= 16),
     the rule by which callers of integrate pick its dt.
     projection: renormalize rotation blocks after every step.
-    sample_stride: keep every k-th step in the output trajectory (an integer >= 1).
     """
 
     steps_per_period: int = 64
     projection: bool = True
-    sample_stride: int = 1
 
     def __post_init__(self):
         if not isinstance(self.steps_per_period, numbers.Integral) or self.steps_per_period < 16:
             raise ValueError("steps_per_period must be an integer >= 16")
-        if not isinstance(self.sample_stride, numbers.Integral) or self.sample_stride < 1:
-            raise ValueError("sample_stride must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,12 +76,13 @@ def _check_step_count(estimate):
         )
 
 
-def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
+def _plan_steps(t0, tf, nominal_dt, sample_dt):
     """Pick (dt, total steps, sample-every) so samples land on an exact grid.
 
-    When sample_dt is given it is snapped so that (tf - t0) is an integer
-    number of sample intervals and dt divides the interval exactly; this is
-    what makes trajectories from different systems comparable sample-by-sample.
+    Without sample_dt every step is a sample. A given sample_dt is snapped
+    so that (tf - t0) is an integer number of sample intervals and dt
+    divides the interval exactly; this is what makes trajectories from
+    different systems comparable sample-by-sample.
     A plan of more than MAX_STEPS steps raises ValueError before any step
     or sample list exists.
     """
@@ -104,20 +101,17 @@ def _plan_steps(t0, tf, nominal_dt, sample_dt, sample_stride):
         return sample_dt / sub, n_samples * sub, sub
     _check_step_count(horizon / nominal_dt)
     n = max(1, math.ceil(horizon / nominal_dt - 1e-12))
-    return horizon / n, n, sample_stride
+    return horizon / n, n, 1
 
 
 def _sample_plan(t0, dt, n_steps, every):
     """The steps after which to keep the state, and every sample time.
 
-    A sample is kept every `every` steps and after the last one, only when
-    its time lies strictly after the previous sample's.
+    A sample is kept every `every` steps, only when its time lies strictly
+    after the previous sample's.
     """
-    candidates = list(range(every, n_steps + 1, every))
-    if n_steps % every:
-        candidates.append(n_steps)
     steps, times = [], [t0]
-    for k in candidates:
+    for k in range(every, n_steps + 1, every):
         t = t0 + k * dt
         if t > times[-1]:
             steps.append(k)
@@ -182,9 +176,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to tf with fixed RK4 steps.
 
-    The nominal step is dt, which must be finite and > 0; with sample_dt
-    it shrinks so that samples land on an exact grid. Identical inputs
-    produce bit-identical outputs.
+    The nominal step is dt, which must be finite and > 0. Every step is a
+    sample unless sample_dt is given; then dt shrinks so that samples land
+    on an exact grid. Identical inputs produce bit-identical outputs.
 
     One loop takes the steps on a list of Python floats. The first call
     receives x0 as an array. An rhs that returns a list of floats receives
@@ -210,7 +204,7 @@ def integrate(
                 f"(determinant {det:.3g})"
             )
     projected = tuple(rotation_blocks) if settings.projection else ()
-    step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt, settings.sample_stride)
+    step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt)
     return _rk4_run(rhs, x0, t0, step, n_steps, every, projected)
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..avgcore import averaged_step, oscillatory_step
 from ..geom3 import as_mat3, as_vec3, so3_defect
 from ..odeint import IntegratorSettings, _plan_steps
-from ..seek3d import SeekParams, SignalField, _seek_dt, signal_field
+from ..seek3d import SeekParams, SignalField, signal_field
 
 SCHEMA_VERSION = 1
 REPRESENTATIONS = ("full", "transformed", "rora")
@@ -60,22 +61,13 @@ class Scenario:
     z0: object  # float or the string "slow-manifold"
     t_final: float
     integrator: IntegratorSettings
+    sample_dt: float  # of every representation: sample_stride tau-periods over steps_per_period
     representations: tuple
 
     def initial_z(self, t0: float = 0.0) -> float:
         if self.z0 == "slow-manifold":
             return self.field.strength(self.p0, t0)
         return float(self.z0)
-
-    @property
-    def sample_dt(self) -> float:
-        """Shared sampling interval for every representation of this scenario."""
-        return _sample_interval(self.params, self.integrator)
-
-
-def _sample_interval(params: SeekParams, integrator: IntegratorSettings) -> float:
-    stride, spp = integrator.sample_stride, integrator.steps_per_period
-    return stride * params.tau_period / params.omega / spp
 
 
 def _collect(errors, where, fn):
@@ -93,6 +85,14 @@ def _finite(value) -> float:
     if not math.isfinite(out):
         raise ValueError(f"{value!r} is not a finite number")
     return out
+
+
+def _count(value, least: int) -> int:
+    """A JSON integer, or a number with no fractional part, that is >= least."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -152,26 +152,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
         errors.append("t_final: must be positive")
 
     idoc = doc.get("integrator", {})
-    integrator = None
+    integrator = stride = None
     if not isinstance(idoc, dict):
         errors.append("integrator: must be an object")
     else:
         spp = _collect(
-            errors, "integrator.steps_per_period", lambda: int(idoc.get("steps_per_period", 64))
+            errors, "integrator.steps_per_period",
+            lambda: _count(idoc.get("steps_per_period", 64), 16),
         )
         stride = _collect(
-            errors, "integrator.sample_stride", lambda: int(idoc.get("sample_stride", 1))
+            errors, "integrator.sample_stride", lambda: _count(idoc.get("sample_stride", 1), 1)
         )
-        if None not in (spp, stride):
-            integrator = _collect(
-                errors,
-                "integrator",
-                lambda: IntegratorSettings(
-                    steps_per_period=spp,
-                    projection=bool(idoc.get("projection", True)),
-                    sample_stride=stride,
-                ),
-            )
+        projection = idoc.get("projection", True)
+        if not isinstance(projection, bool):
+            errors.append(f"integrator.projection: must be true or false, got {projection!r}")
+        elif spp is not None:
+            integrator = IntegratorSettings(steps_per_period=spp, projection=projection)
 
     reps = doc.get("representations", list(REPRESENTATIONS))
     if (
@@ -184,20 +180,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         reps = REPRESENTATIONS
 
-    if params is not None and integrator is not None:
-        interval = _collect(errors, "integrator", lambda: _sample_interval(params, integrator))
-        if interval is not None and not 0.0 < interval < math.inf:
-            errors.append(f"integrator: the sample interval {interval!r} is not finite and > 0")
-        elif interval is not None and t_final is not None and t_final > 0:
+    sample_dt = None
+    if None not in (params, integrator, stride):
+        sample_dt = _collect(
+            errors, "integrator", lambda: stride * params.tau_period / params.omega / spp
+        )
+        if sample_dt is not None and not 0.0 < sample_dt < math.inf:
+            errors.append(f"integrator: the sample interval {sample_dt!r} is not finite and > 0")
+        elif sample_dt is not None and t_final is not None and t_final > 0:
             # the step plans of run_scenario, refused before it writes anything
-            seek_dt = _seek_dt(params, integrator)
+            seek_dt = oscillatory_step(
+                params.sigma_period, params.tau_period, params.omega, params.mu, integrator
+            )
             for rep in reps:
-                dt = 1.0 / integrator.steps_per_period if rep == "rora" else seek_dt
+                dt = averaged_step(integrator) if rep == "rora" else seek_dt
                 where = f"{rep} at dt = {dt:.3g} to t_final = {t_final:g}"
                 _collect(
                     errors,
                     f"integrator.steps_per_period ({where})",
-                    lambda: _plan_steps(0.0, t_final, dt, interval, integrator.sample_stride),
+                    lambda: _plan_steps(0.0, t_final, dt, sample_dt),
                 )
 
     unknown = set(doc) - {
@@ -219,6 +220,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         z0=z0,
         t_final=t_final,
         integrator=integrator,
+        sample_dt=sample_dt,
         representations=tuple(reps),
     )
 

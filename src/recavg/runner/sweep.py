@@ -20,12 +20,6 @@ from .artifacts import write_csv
 from .config import Scenario
 
 
-def closed_form_reference(field):
-    """The averaged drift (x, t) -> dx/dt on the embedded state [p, rows of Q],
-    the rora state, as a list of 12 floats."""
-    return lambda x, t: seek3d._rora_rates(x[0:3], x[3:12], t, field)
-
-
 def run_sweep(
     scenario: Scenario,
     omegas,
@@ -37,7 +31,7 @@ def run_sweep(
     """Sweep the scenario over the given frequencies against the averaged flow.
 
     Each run uses the scenario's integrator settings and is sampled at 400
-    equal intervals of [0, t_final], so its sample_stride does not apply.
+    equal intervals of [0, t_final], so its sample_dt does not apply.
     The frequencies run one after another; workers is accepted and
     ignored, because the benchmark under perfbench/ still passes it.
     """
@@ -47,13 +41,8 @@ def run_sweep(
     x0 = seek3d.embed_columns(scenario.p0, Q0)
     ssys = seek3d.embedded_system(params, scenario.field, validate=False)
     report = avgcore.convergence_study(
-        ssys,
-        x0,
-        0.0,
-        t_final,
-        omegas,
-        scenario.integrator,
-        reference=closed_form_reference(scenario.field),
+        avgcore.reduce_to_slow_manifold(ssys, validate=False), x0, 0.0, t_final, omegas,
+        scenario.integrator, reference=seek3d.rora_drift(scenario.field),
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -479,17 +479,15 @@ def compute_A_numeric(
 # ---------------------------------------------------------------------------
 # trajectory helpers shared by the scenario runner and the tests
 
-def _seek_dt(params: SeekParams, settings: IntegratorSettings) -> float:
-    # the filter adds a relaxation scale mu that the fixed step must resolve:
-    # explicit RK4 diverges once dt/mu exceeds ~2.8
-    return min(params.tau_period / params.omega / settings.steps_per_period, params.mu)
-
-
 def _projected_trajectory(rates, params, field, p0, M0, z0, t0, tf, settings, sample_dt):
     y0 = np.concatenate([as_vec3(p0), as_mat3(M0).ravel(), [float(z0)]])
+    # the step simulate_singular takes for the embedded system of these params
+    dt = avgcore.oscillatory_step(
+        params.sigma_period, params.tau_period, params.omega, params.mu, settings
+    )
     return integrate(
         lambda t, y: rates(y[0:3], y[3:12], y[12], t, params, field), y0, t0, t0 + tf, settings,
-        rotation_blocks=_ROT_BLOCK, dt=_seek_dt(params, settings), sample_dt=sample_dt,
+        rotation_blocks=_ROT_BLOCK, dt=dt, sample_dt=sample_dt,
     )
 
 
@@ -529,6 +527,12 @@ def transformed_trajectory(
     )
 
 
+def rora_drift(field: SignalField) -> Callable:
+    """The closed-form averaged drift (x, t) -> dx/dt on the rora state
+    [p, rows of Q], as a list of 12 floats (_rora_rates)."""
+    return lambda x, t: _rora_rates(x[0:3], x[3:12], t, field)
+
+
 def rora_trajectory(
     params: SeekParams,
     field: SignalField,
@@ -540,14 +544,11 @@ def rora_trajectory(
     *,
     sample_dt: float = None,
 ) -> Trajectory:
-    """Integrate the closed-form averaged flow; states are [p, Q rows].
+    """Integrate the closed-form averaged flow (simulate_averaged of
+    rora_drift); states are [p, Q rows].
 
     The averaged frame is constant by construction, so the rotation block
-    needs no projection; the drift is order-one and integrates on a
-    1 / steps_per_period step.
+    needs no projection.
     """
     y0 = np.concatenate([as_vec3(p0), as_mat3(Q0).ravel()])
-    return integrate(
-        lambda t, y: _rora_rates(y[0:3], y[3:12], t, field), y0, t0, t0 + tf, settings,
-        dt=1.0 / settings.steps_per_period, sample_dt=sample_dt,
-    )
+    return avgcore.simulate_averaged(rora_drift(field), y0, t0, tf, settings, sample_dt=sample_dt)

@@ -16,7 +16,7 @@ from recavg.odeint import DivergenceError, Trajectory, _plan_steps, _sample_plan
 def numpy_integrate(rhs, x0, t0, tf, settings, *, rotation_blocks=(), dt, sample_dt=None):
     """integrate(rhs, x0, t0, tf, settings, rotation_blocks=..., dt=..., sample_dt=...)."""
     projected = tuple(rotation_blocks) if settings.projection else ()
-    step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt, settings.sample_stride)
+    step, n_steps, every = _plan_steps(t0, tf, dt, sample_dt)
     t0, step = float(t0), float(step)
     steps, times = _sample_plan(t0, step, n_steps, every)
     x = np.array(x0, dtype=float)

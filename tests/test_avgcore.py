@@ -10,6 +10,8 @@ The two closed forms doing the heavy lifting:
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +30,12 @@ from recavg.avgcore import (
     _antiderivative_to_end,
     _averaged_value,
     _field_and_jac_on_grid,
-    _forcing_dt,
     _periodic_antiderivative,
     _zero_values,
     average_fields,
     convergence_study,
     lie_bracket,
+    oscillatory_step,
     reduce_to_slow_manifold,
     rora_reduce,
     simulate_averaged,
@@ -619,7 +621,7 @@ def test_simulate_two_scale_float_path_matches_array_rhs(kind):
             f2(x, t, sqw * el, w * el)
         )
 
-    dt = _forcing_dt(sys.f1, sys.omega, settings)
+    dt = oscillatory_step(sys.f1.T1, sys.f1.T2, sys.omega, math.inf, settings)
     want = integrate(array_rhs, x0, t0, t0 + tf, settings, dt=dt, sample_dt=0.01)
     assert np.array_equal(got.times, want.times)
     assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
@@ -801,3 +803,12 @@ def test_convergence_study_rejects_bad_omegas():
     with pytest.raises(ValueError):
         convergence_study(sys, x0, 0.0, 1.0, [-1.0, 1.0, 2.0])
 
+
+def test_readme_library_example_runs():
+    # the README's "Library example" block, run as printed: slope -0.512
+    # over omegas 1e2, 4e2, 1.6e3 on a horizon of 1.0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert -0.65 <= namespace["report"].fitted_slope <= -0.35

@@ -109,7 +109,7 @@ def _seeded_case(rng, kind):
         return out
 
     y0 = np.concatenate([rng.normal(0.0, 1.0, 3), rot_exp(rng.normal(size=3)).ravel(), [z0]])
-    settings = IntegratorSettings(sample_stride=int(rng.integers(1, 5)))
+    settings = IntegratorSettings()
     horizon = n_steps * dt
     sample_dt = horizon / int(rng.integers(2, 8)) if rng.integers(0, 2) else None
     args = (y0, t0, t0 + horizon, settings)
@@ -145,9 +145,10 @@ def test_rhs_length_mismatch_rejected():
 
 
 def test_determinism_bit_identical():
-    settings = IntegratorSettings(sample_stride=3)
+    settings = IntegratorSettings()
+    dt = 2 * np.pi / 64
     runs = [
-        integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 7.0, settings, dt=2 * np.pi / 64)
+        integrate(circle_rhs, np.array([1.0, 0.0]), 0.0, 7.0, settings, dt=dt, sample_dt=3 * dt)
         for _ in range(2)
     ]
     assert np.array_equal(runs[0].times, runs[1].times)
@@ -245,15 +246,15 @@ def test_zero_horizon_rejected():
 
 
 def test_plans_over_the_step_cap_rejected():
-    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, None, 1)[1] == MAX_STEPS
-    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, 0.5, 1)[1] == MAX_STEPS
+    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, None)[1] == MAX_STEPS
+    assert _plan_steps(0.0, 1.0, 1.0 / MAX_STEPS, 0.5)[1] == MAX_STEPS
     # (nominal dt, sample_dt): one step or one sample too many, huge and inf counts
     for nominal, sample_dt in (
         (1.0 / (MAX_STEPS + 1), None), (1.0 / (MAX_STEPS + 1), 0.5), (0.5, 1.0 / (MAX_STEPS + 1)),
         (1e-300, None), (1e-300, 0.5), (1.0, 1e-300), (5e-324, None), (5e-324, 0.5),
     ):
         with pytest.raises(ValueError, match="RK4 steps, over the cap of 1e"):
-            _plan_steps(0.0, 1.0, nominal, sample_dt, 1)
+            _plan_steps(0.0, 1.0, nominal, sample_dt)
     with pytest.raises(ValueError, match="over the cap"):
         integrate(lambda t, x: [0.0], [0.0], 0.0, 1e8, IntegratorSettings(), dt=1.0)
 
@@ -265,9 +266,6 @@ def test_settings_validation():
         dict(steps_per_period=64.0),
         dict(steps_per_period=math.inf),
         dict(steps_per_period=math.nan),
-        dict(sample_stride=0),
-        dict(sample_stride=1.5),
-        dict(sample_stride=math.inf),
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             IntegratorSettings(**kwargs)
@@ -319,9 +317,10 @@ def _drift(traj):
 def test_projection_enforces_orthonormality():
     spp = 256
     tf = 1e4 * (2 * np.pi / spp)  # ten thousand steps
-    settings = IntegratorSettings(projection=True, sample_stride=100)
+    settings = IntegratorSettings(projection=True)
     traj = integrate_projected(
-        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], dt=2 * np.pi / spp
+        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0],
+        dt=2 * np.pi / spp, sample_dt=100 * (2 * np.pi / spp),
     )
     assert _drift(traj) <= 1e-12
 
@@ -329,9 +328,10 @@ def test_projection_enforces_orthonormality():
 def test_unprojected_drift_is_small_but_nonzero():
     spp = 256
     tf = 1e4 * (2 * np.pi / spp)
-    settings = IntegratorSettings(projection=False, sample_stride=100)
+    settings = IntegratorSettings(projection=False)
     traj = integrate_projected(
-        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0], dt=2 * np.pi / spp
+        spin_rhs, np.eye(3).ravel(), 0.0, tf, settings, [0],
+        dt=2 * np.pi / spp, sample_dt=100 * (2 * np.pi / spp),
     )
     drift = _drift(traj)
     assert 0.0 < drift <= 1e-5

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -23,7 +24,7 @@ from recavg.runner import (
 from recavg.runner.artifacts import read_csv, write_csv
 from recavg.runner.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from recavg.runner.svgplot import _Canvas, plot_lines
-from recavg.runner.sweep import closed_form_reference
+from recavg.seek3d import rora_drift
 
 
 def short_config(tmp_path, **overrides):
@@ -71,6 +72,8 @@ def test_load_valid_config(tmp_path):
     assert sc.params.omega == 4.0 * math.pi
     assert sc.representations == ("full", "rora")
     assert sc.initial_z() == sc.field.strength(sc.p0, 0.0)
+    # sample_stride 8 tau-periods of 2 pi / omega over steps_per_period 64
+    assert sc.sample_dt == 8 * (2.0 * math.pi) / sc.params.omega / 64
 
 
 def test_invalid_configs_list_fields(tmp_path):
@@ -91,6 +94,9 @@ def test_invalid_configs_list_fields(tmp_path):
     for key, value, field in NON_FINITE_CONFIGS:
         with pytest.raises(ConfigError, match=field):
             load_config(short_config(tmp_path, **{key: value}))
+    for integrator, line in NOT_A_COUNT_CONFIGS:
+        with pytest.raises(ConfigError, match=re.escape(line)):
+            load_config(short_config(tmp_path, integrator=integrator))
 
 
 REFLECTION = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]  # orthogonal, so its SO(3) defect is 0
@@ -108,6 +114,16 @@ NON_FINITE_CONFIGS = [
     ("field", {"kind": "static", "kappa": float("inf")}, "field: kappa must be finite"),
 ]
 
+# (integrator, the error line): counts that are fractions or booleans, and a
+# projection switch that is not a JSON boolean, are refused, not rounded
+NOT_A_COUNT_CONFIGS = [
+    ({"steps_per_period": 64.9}, "integrator.steps_per_period: must be an integer >= 16, got 64.9"),
+    ({"steps_per_period": True}, "integrator.steps_per_period: must be an integer >= 16, got True"),
+    ({"sample_stride": 2.99}, "integrator.sample_stride: must be an integer >= 1, got 2.99"),
+    ({"sample_stride": True}, "integrator.sample_stride: must be an integer >= 1, got True"),
+    ({"sample_stride": 0}, "integrator.sample_stride: must be an integer >= 1, got 0"),
+    ({"projection": "no"}, "integrator.projection: must be true or false, got 'no'"),
+]
 
 # plans over odeint.MAX_STEPS RK4 steps, refused before any output exists
 STEP_CAP_CONFIGS = {
@@ -220,6 +236,25 @@ def test_config_fuzz_only_config_error_escapes(doc):
     assert math.isfinite(sc.sample_dt) and sc.sample_dt > 0
     assert sc.field.kappa is None or math.isfinite(sc.field.kappa)
     assert np.isfinite(sc.field.source(1.0)).all()
+
+
+def test_fast_roll_representations_agree():
+    # alpha = 8 makes the roll-frame period, sqrt(2) pi / alpha in sigma, the
+    # shorter forcing period (0.157 against the tau-period's 0.5 time units);
+    # stepped on the tau-period alone, full and transformed drifted 0.246 apart
+    from recavg.runner.artifacts import run_representations
+
+    sc = scenario_from_dict({
+        "schema_version": 1,
+        "params": {"alpha": 8.0, "omega": "4pi", "mu": 1.0 / (16.0 * math.pi**2)},
+        "p0": [-2.0, -2.0, 6.0],
+        "t_final": 5.0,
+        "integrator": {"steps_per_period": 64, "sample_stride": 4},
+        "representations": ["full", "transformed"],
+    })
+    runs = run_representations(sc)
+    gap = np.linalg.norm(runs["full"].states[:, 0:3] - runs["transformed"].states[:, 0:3], axis=1)
+    assert gap.max() <= 0.02
 
 
 def test_multiple_errors_reported_together(tmp_path):
@@ -460,7 +495,7 @@ def test_cli_sweep_rejects_bad_t_final(tmp_path, monkeypatch, capsys):
 def test_sweep_sup_errors_pinned():
     # the embedded reduced system against the rora drift, both on odeint's float loop
     field = built_in("ex1").field
-    assert isinstance(closed_form_reference(field)([0.5] * 12, 0.0), list)
+    assert isinstance(rora_drift(field)([0.5] * 12, 0.0), list)
     report = run_sweep(built_in("ex1"), [4 * math.pi, 16 * math.pi, 64 * math.pi], None,
                        t_final=1.0, workers=1)
     expected = (0.8038151863536257, 0.41297483997029594, 0.20858332603642268)

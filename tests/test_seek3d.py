@@ -264,8 +264,10 @@ def test_float_path_matches_array_path():
     # the list kernels through integrate's float loop, and the same kernels
     # wrapped in np.array through the numpy oracle, must agree bit for bit
     orbit = signal_field("orbit")
-    settings = IntegratorSettings(steps_per_period=64, projection=True, sample_stride=3)
-    dt = seek3d._seek_dt(PARAMS, settings)
+    settings = IntegratorSettings(steps_per_period=64, projection=True)
+    dt = avgcore.oscillatory_step(
+        PARAMS.sigma_period, PARAMS.tau_period, PARAMS.omega, PARAMS.mu, settings
+    )
     rng = np.random.default_rng(31)
     for k in range(20):
         field = orbit if k % 2 else STATIC
@@ -275,15 +277,16 @@ def test_float_path_matches_array_path():
         for rates in (seek3d._full_rates, seek3d._transformed_rates):
             flat = lambda t, y: rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
             runs = [
-                run(rhs, y0, t0, t0 + 20 * dt, settings, rotation_blocks=(3,), dt=dt)
+                run(rhs, y0, t0, t0 + 21 * dt, settings, rotation_blocks=(3,), dt=dt,
+                    sample_dt=3 * dt)
                 for run, rhs in (
                     (integrate, flat),
                     (numpy_integrate, lambda t, y: np.array(flat(t, y))),
                 )
             ]
-            # 20 steps at stride 3: samples after steps 3, 6, ..., 18 and 20
+            # 21 steps, a sample every 3: after steps 3, 6, ..., 21
             assert len(runs[0]) == 8
-            assert runs[0].times[-1] - runs[0].times[-2] == pytest.approx(2 * dt)
+            assert runs[0].times[-1] - runs[0].times[-2] == pytest.approx(3 * dt)
             assert np.array_equal(runs[0].times, runs[1].times)
             assert np.array_equal(runs[0].states, runs[1].states)
 
@@ -626,6 +629,27 @@ def test_trajectory_speed_invariants():
     assert np.abs(speeds - math.sqrt(2.0 * PARAMS.omega)).max() < 0.05
 
 
+@pytest.mark.parametrize("alpha, omega, mu", [
+    (0.125, 4.0 * math.pi, 1.0 / (16.0 * math.pi**2)),  # the tau-period binds
+    (8.0, 4.0 * math.pi, 1.0 / (16.0 * math.pi**2)),  # the roll-frame period T1 binds
+    (1.0, 400.0, 1e-4),  # mu binds
+])
+def test_seeker_steps_as_simulate_singular(alpha, omega, mu):
+    # the full and transformed seekers take the step that simulate_singular
+    # takes for the embedded system of the same params
+    params = SeekParams(alpha=alpha, omega=omega, mu=mu)
+    settings = IntegratorSettings(steps_per_period=64, projection=True)
+    ssys = embedded_system(params, STATIC, validate=False)
+    z0 = STATIC.strength(P0, 0.0)
+    tf = 0.02
+    want = avgcore.simulate_singular(ssys, embed_columns(P0, np.eye(3)), [z0], 0.0, tf, settings)
+    step = avgcore.oscillatory_step(ssys.f1.T1, ssys.f1.T2, omega, mu, settings)
+    assert len(want) == math.ceil(tf / step - 1e-12) + 1
+    for run in (full_trajectory, transformed_trajectory):
+        got = run(params, STATIC, P0, np.eye(3), z0, 0.0, tf, settings)
+        assert np.array_equal(got.times, want.times)
+
+
 def test_seek_params_validation():
     with pytest.raises(ValueError):
         SeekParams(alpha=0.0, omega=1.0, mu=1.0)
@@ -641,3 +665,34 @@ def test_seek_params_reject_non_finite(name, bad):
     values = {"alpha": 1.0, "omega": 1.0, "mu": 1.0, name: bad}
     with pytest.raises(ValueError, match="finite"):
         SeekParams(**values)
+
+
+# --- practical stability --------------------------------------------------------------
+
+def test_residual_ball_shrinks_as_one_over_sqrt_omega():
+    """The paper's practical stability: around a static source the vehicle
+    circles at the probing-loop radius sqrt(2 / w), its speed sqrt(2 w) over
+    its turn rate w, so the residual ball shrinks as 1 / sqrt(w).
+
+    The reduced embedded system (filter pinned to c(p, t)) runs from
+    p0 = (0.6, -0.4, 0.5) with identity Q to t = 20, sampled every 0.01, and
+    |p| is measured on [10, 20]. At w = 4 pi, 16 pi and 64 pi, mean |p| *
+    sqrt(w / 2) measured 1.0027, 1.0007 and 1.0004, and the sup of |p| fell
+    by 1.977 and 1.969 per quadrupling of w.
+    """
+    p0 = np.array([0.6, -0.4, 0.5])
+    settings = IntegratorSettings(steps_per_period=64, projection=False)
+    sups = []
+    for omega in (4.0 * math.pi, 16.0 * math.pi, 64.0 * math.pi):
+        params = SeekParams(alpha=0.125, omega=omega, mu=1.0 / (16.0 * math.pi**2))
+        reduced = avgcore.reduce_to_slow_manifold(
+            embedded_system(params, STATIC, validate=False), validate=False
+        )
+        traj = avgcore.simulate_two_scale(
+            reduced, embed_columns(p0, np.eye(3)), 0.0, 20.0, settings, sample_dt=0.01
+        )
+        radius = np.linalg.norm(traj.states[traj.times >= 10.0, 0:3], axis=1)
+        assert abs(radius.mean() * math.sqrt(omega / 2.0) - 1.0) <= 0.01
+        sups.append(radius.max())
+    for wide, narrow in zip(sups, sups[1:]):
+        assert 1.9 <= wide / narrow <= 2.1
