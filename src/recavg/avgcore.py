@@ -548,8 +548,10 @@ def simulate_singular(
 ) -> Trajectory:
     """Integrate the coupled slow/fast system; state is [x, z] concatenated.
 
-    The step is oscillatory_step's, capped at mu: under the period-only
-    rule RK4 was observed to diverge on the filter.
+    Phases are anchored at t0, and the step is oscillatory_step's, capped at
+    mu: under the period-only rule RK4 was observed to diverge on the filter.
+    With f2 None and list answers from f1 and g, the RHS answers a list of
+    floats, so odeint runs its float loop, as for _two_scale_rhs.
     """
     n = ssys.dim
     sqw = math.sqrt(ssys.omega)
@@ -562,11 +564,14 @@ def simulate_singular(
         x, z = y[:n], y[n:]
         el = t - t0
         sigma, tau = sqw * el, w * el
-        dx = sqw * np.asarray(f1(x, z, t, sigma, tau))
+        v = f1(x, z, t, sigma, tau)
+        dz = g(x, z, t)
+        if f2 is None and isinstance(v, list) and isinstance(dz, list):
+            return [sqw * a for a in v] + [b / mu for b in dz]
+        dx = sqw * np.asarray(v)
         if f2 is not None:
             dx = dx + np.asarray(f2(x, z, t, sigma, tau))
-        dz = np.asarray(g(x, z, t)) / mu
-        return np.concatenate([dx, np.atleast_1d(dz)])
+        return np.concatenate([dx, np.atleast_1d(np.asarray(dz) / mu)])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.atleast_1d(z0).astype(float)])
     return integrate(

@@ -84,30 +84,17 @@ def _so3_drift(traj: Trajectory) -> float:
 
 def run_representations(scenario: Scenario):
     """Integrate every requested representation from t = 0 on the shared sample grid."""
-    params = scenario.params
+    params, field, p0 = scenario.params, scenario.field, scenario.p0
     z0 = scenario.initial_z(0.0)
     Q0 = initial_Q(scenario.R0, z0, 0.0, params)
-    sample_dt = scenario.sample_dt
-    out = {}
-    for rep in scenario.representations:
-        if rep == "full":
-            out[rep] = full_trajectory(
-                params, scenario.field, scenario.p0, scenario.R0, z0,
-                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
-            )
-        elif rep == "transformed":
-            out[rep] = transformed_trajectory(
-                params, scenario.field, scenario.p0, Q0, z0,
-                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
-            )
-        elif rep == "rora":
-            out[rep] = rora_trajectory(
-                params, scenario.field, scenario.p0, Q0,
-                0.0, scenario.t_final, scenario.integrator, sample_dt=sample_dt,
-            )
-        else:
-            raise ValueError(f"unknown representation {rep!r}")
-    return out
+    span = dict(t0=0.0, tf=scenario.t_final, settings=scenario.integrator,
+                sample_dt=scenario.sample_dt)
+    runs = {
+        "full": lambda: full_trajectory(params, field, p0, scenario.R0, z0, **span),
+        "transformed": lambda: transformed_trajectory(params, field, p0, Q0, z0, **span),
+        "rora": lambda: rora_trajectory(params, field, p0, Q0, **span),
+    }
+    return {rep: runs[rep]() for rep in scenario.representations}
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:

@@ -30,12 +30,6 @@ _ERROR_EXITS = {DivergenceError: EXIT_DIVERGED, QuadratureError: EXIT_QUADRATURE
 OUT_ROOT_ENV = "RECAVG_OUT_ROOT"
 
 
-def _out_root(explicit):
-    if explicit:
-        return explicit
-    return os.environ.get(OUT_ROOT_ENV, "out")
-
-
 def _parse_omegas(text):
     try:
         values = [parse_pi_value(tok.strip(), "omega") for tok in text.split(",") if tok.strip()]
@@ -45,7 +39,21 @@ def _parse_omegas(text):
         raise ConfigError("--omegas: need at least 3 comma-separated values")
     if min(values) <= 0:
         raise ConfigError(f"--omegas: every frequency must be positive, got {min(values):g}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"--omegas: values must be strictly increasing, got {text}")
     return values
+
+
+def _out_dir(args, name):
+    """The run directory `name` under --out, $RECAVG_OUT_ROOT or ./out, refused
+    before any run unless its nearest existing ancestor is a writable directory."""
+    path = os.path.join(args.out or os.environ.get(OUT_ROOT_ENV, "out"), name)
+    base = os.path.abspath(path)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out: cannot make {path}: {base} is not a writable directory")
+    return path
 
 
 def build_parser():
@@ -92,7 +100,7 @@ def _cmd_run(args):
         scenario = built_in(args.name)
     else:
         scenario = load_config(args.config)
-    out_dir = os.path.join(_out_root(args.out), scenario.name)
+    out_dir = _out_dir(args, scenario.name)
     artifacts = run_scenario(scenario, out_dir)
     print(f"wrote artifacts to {artifacts.run_dir}")
     for rep, info in sorted(artifacts.summary["representations"].items()):
@@ -108,7 +116,7 @@ def _cmd_sweep(args):
         raise ConfigError(f"--t-final: must be a finite number > 0, got {args.t_final:g}")
     scenario = load_config(args.config) if args.config else built_in("ex1")
     omegas = _parse_omegas(args.omegas)
-    out_dir = os.path.join(_out_root(args.out), f"{scenario.name}_sweep")
+    out_dir = _out_dir(args, f"{scenario.name}_sweep")
     report = run_sweep(scenario, omegas, out_dir, t_final=args.t_final)
     print(f"wrote sweep artifacts to {out_dir}")
     for w, e in zip(report.omegas, report.sup_errors):

@@ -228,24 +228,19 @@ def _frame_vectors(z: float, sigma: float, tau: float, alpha: float):
     return f, lam
 
 
-def _transformed_rates(p, q, z, t, params, field) -> list:
-    sqw = math.sqrt(params.omega)
-    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sqw * t, params.omega * t, params.alpha)
-    zdot = (field.strength(p, t) - z) / params.mu
-    rates = _rigid_rates(q, (sqw * f0, sqw * f1, sqw * f2), (sqw * l0, sqw * l1, sqw * l2))
-    rates.append(zdot)
-    return rates
-
-
 def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
     """Dynamics of the co-rotating representation.
 
     dp = sqrt(w) Q f, dQ = sqrt(w) Q hat(L) with f = sqrt(2) R2(sigma)
     R1(tau, z) e1 and L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2),
-    where sigma = sqrt(w) t and tau = w t.
+    where sigma = sqrt(w) t and tau = w t: sqrt(w) times the embedded
+    field's scalar kernel, and dz = g / mu of embedded_system.
     """
-    out = np.array(_transformed_rates(p, np.ravel(Q).tolist(), float(z), t, params, field))
-    return out[0:3], out[3:12].reshape(3, 3), float(out[12])
+    sqw = math.sqrt(params.omega)
+    frame = _frame_vectors(float(z), sqw * t, params.omega * t, params.alpha)
+    out = sqw * np.array(_rigid_rates(np.ravel(Q).tolist(), *frame))
+    zdot = (field.strength(p, t) - z) / params.mu
+    return out[0:3], out[3:12].reshape(3, 3), float(zdot)
 
 
 def reconstruct_R(Q, z, t, params: SeekParams) -> np.ndarray:
@@ -479,18 +474,6 @@ def compute_A_numeric(
 # ---------------------------------------------------------------------------
 # trajectory helpers shared by the scenario runner and the tests
 
-def _projected_trajectory(rates, params, field, p0, M0, z0, t0, tf, settings, sample_dt):
-    y0 = np.concatenate([as_vec3(p0), as_mat3(M0).ravel(), [float(z0)]])
-    # the step simulate_singular takes for the embedded system of these params
-    dt = avgcore.oscillatory_step(
-        params.sigma_period, params.tau_period, params.omega, params.mu, settings
-    )
-    return integrate(
-        lambda t, y: rates(y[0:3], y[3:12], y[12], t, params, field), y0, t0, t0 + tf, settings,
-        rotation_blocks=_ROT_BLOCK, dt=dt, sample_dt=sample_dt,
-    )
-
-
 def full_trajectory(
     params: SeekParams,
     field: SignalField,
@@ -504,8 +487,14 @@ def full_trajectory(
     sample_dt: float = None,
 ) -> Trajectory:
     """Integrate the literal closed loop; states are [p, R rows, z]."""
-    return _projected_trajectory(
-        _full_rates, params, field, p0, R0, z0, t0, tf, settings, sample_dt
+    y0 = np.concatenate([as_vec3(p0), as_mat3(R0).ravel(), [float(z0)]])
+    # the step transformed_trajectory takes: the runs share their grid
+    dt = avgcore.oscillatory_step(
+        params.sigma_period, params.tau_period, params.omega, params.mu, settings
+    )
+    return integrate(
+        lambda t, y: _full_rates(y[0:3], y[3:12], y[12], t, params, field),
+        y0, t0, t0 + tf, settings, rotation_blocks=_ROT_BLOCK, dt=dt, sample_dt=sample_dt,
     )
 
 
@@ -521,9 +510,16 @@ def transformed_trajectory(
     *,
     sample_dt: float = None,
 ) -> Trajectory:
-    """Integrate the co-rotating representation; states are [p, Q rows, z]."""
-    return _projected_trajectory(
-        _transformed_rates, params, field, p0, Q0, z0, t0, tf, settings, sample_dt
+    """Integrate the co-rotating representation, simulate_singular of
+    embedded_system from [p0, rows of Q0] and z0; states are [p, Q rows, z].
+
+    The phases are anchored at t0: sigma = sqrt(w) (t - t0) and
+    tau = w (t - t0). From t0 = 0 they are the absolute phases of
+    transformed_rhs and reconstruct_R.
+    """
+    return avgcore.simulate_singular(
+        embedded_system(params, field, validate=False), embed_columns(p0, Q0), [z0],
+        t0, tf, settings, sample_dt=sample_dt, rotation_blocks=_ROT_BLOCK,
     )
 
 

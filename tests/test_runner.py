@@ -482,6 +482,37 @@ def test_cli_sweep_omegas_plain_numbers(tmp_path, monkeypatch, capsys):
     assert len(seen) == 1
 
 
+def test_cli_sweep_omegas_out_of_order_names_the_flag(tmp_path, monkeypatch, capsys):
+    seen = _record_sweeps(monkeypatch)
+    for bad in ("16pi,4pi,64pi", "4pi,4pi,16pi"):
+        assert main(["sweep", "--omegas", bad, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--omegas" in err and "increasing" in err
+    assert seen == []
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", None], ["demo", "ex1"], ["sweep", "--omegas", "4pi,16pi,64pi"],
+], ids=["simulate", "demo", "sweep"])
+def test_cli_out_naming_a_file_refused_before_any_run(tmp_path, monkeypatch, capsys, command):
+    from recavg import avgcore
+    from recavg.runner import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(avgcore, "simulate_averaged", no_run)
+    monkeypatch.setattr(avgcore, "simulate_two_scale", no_run)
+    command = [short_config(tmp_path) if a is None else a for a in command]
+    out = tmp_path / "out.txt"
+    out.write_text("not a directory\n")
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--out" in err and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_cli_sweep_rejects_bad_t_final(tmp_path, monkeypatch, capsys):
     seen = _record_sweeps(monkeypatch)
     for bad in ("nan", "inf", "0", "-1"):

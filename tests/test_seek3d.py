@@ -6,6 +6,7 @@ and the exact change of variables between the full and co-rotating forms.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +222,16 @@ def reference_transformed_rhs(p, Q, z, t, params, field):
     return sqw * (Q @ f), sqw * (Q @ hat(lam)), dz
 
 
+def singular_rates(y, t, params, field):
+    """The co-rotating RHS at state y = [p, rows of Q, z] as simulate_singular
+    forms it from embedded_system's callbacks, phases anchored at t0 = 0."""
+    ssys = embedded_system(params, field, validate=False)
+    sqw = math.sqrt(params.omega)
+    x, z = list(y[0:12]), list(y[12:])
+    v = ssys.f1.func(x, z, t, sqw * t, params.omega * t)
+    return [sqw * a for a in v] + [b / ssys.mu for b in ssys.g(x, z, t)]
+
+
 def test_kernels_match_reference_forms():
     orbit = signal_field("orbit")
     rng = np.random.default_rng(29)
@@ -232,17 +243,16 @@ def test_kernels_match_reference_forms():
         t = float(rng.uniform(0.0, 200.0))
         y = np.concatenate([p, M.ravel(), [z]])
         views = (
-            (seek3d._full_rates, full_rhs(RigidState(p, M, z), t, PARAMS, field),
-             reference_full_rhs),
-            (seek3d._transformed_rates, transformed_rhs(p, M, z, t, PARAMS, field),
-             reference_transformed_rhs),
+            (seek3d._full_rates(y[0:3], y[3:12], y[12], t, PARAMS, field),
+             full_rhs(RigidState(p, M, z), t, PARAMS, field), reference_full_rhs),
+            (singular_rates(y.tolist(), t, PARAMS, field),
+             transformed_rhs(p, M, z, t, PARAMS, field), reference_transformed_rhs),
         )
         for rates, public, reference in views:
             dp, dM, dz = reference(p, M, z, t, PARAMS, field)
             expected = np.concatenate([dp, dM.ravel(), [dz]])
             tol = 1e-12 * np.maximum(1.0, np.abs(expected))
-            got = rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
-            assert np.all(np.abs(got - expected) <= tol)
+            assert np.all(np.abs(np.array(rates) - expected) <= tol)
             got = np.concatenate([public[0], public[1].ravel(), [public[2]]])
             assert np.all(np.abs(got - expected) <= tol)
         sigma = math.sqrt(PARAMS.omega) * t
@@ -260,9 +270,18 @@ def test_reconstruct_R_batch_matches_rows():
         assert np.abs(reconstruct_R(Q, z, t, PARAMS) - R).max() <= 1e-15
 
 
+def _random_start(rng):
+    """t0 in [0, 50] and a state [p, rows of a rotation, z] from rng."""
+    t0 = float(rng.uniform(0.0, 50.0))
+    y0 = np.concatenate([rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)).ravel(),
+                         [float(rng.normal(0.0, 2.0))]])
+    return t0, y0
+
+
 def test_float_path_matches_array_path():
-    # the list kernels through integrate's float loop, and the same kernels
-    # wrapped in np.array through the numpy oracle, must agree bit for bit
+    # the full seeker's list kernel through integrate's float loop, and the
+    # same kernel wrapped in np.array through the numpy oracle, must agree
+    # bit for bit
     orbit = signal_field("orbit")
     settings = IntegratorSettings(steps_per_period=64, projection=True)
     dt = avgcore.oscillatory_step(
@@ -271,24 +290,60 @@ def test_float_path_matches_array_path():
     rng = np.random.default_rng(31)
     for k in range(20):
         field = orbit if k % 2 else STATIC
-        t0 = float(rng.uniform(0.0, 50.0))
-        y0 = np.concatenate([rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)).ravel(),
-                             [float(rng.normal(0.0, 2.0))]])
-        for rates in (seek3d._full_rates, seek3d._transformed_rates):
-            flat = lambda t, y: rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
-            runs = [
-                run(rhs, y0, t0, t0 + 21 * dt, settings, rotation_blocks=(3,), dt=dt,
-                    sample_dt=3 * dt)
-                for run, rhs in (
-                    (integrate, flat),
-                    (numpy_integrate, lambda t, y: np.array(flat(t, y))),
-                )
-            ]
-            # 21 steps, a sample every 3: after steps 3, 6, ..., 21
-            assert len(runs[0]) == 8
-            assert runs[0].times[-1] - runs[0].times[-2] == pytest.approx(3 * dt)
-            assert np.array_equal(runs[0].times, runs[1].times)
-            assert np.array_equal(runs[0].states, runs[1].states)
+        t0, y0 = _random_start(rng)
+        flat = lambda t, y: seek3d._full_rates(y[0:3], y[3:12], y[12], t, PARAMS, field)
+        runs = [
+            run(rhs, y0, t0, t0 + 21 * dt, settings, rotation_blocks=(3,), dt=dt,
+                sample_dt=3 * dt)
+            for run, rhs in (
+                (integrate, flat),
+                (numpy_integrate, lambda t, y: np.array(flat(t, y))),
+            )
+        ]
+        # 21 steps, a sample every 3: after steps 3, 6, ..., 21
+        assert len(runs[0]) == 8
+        assert runs[0].times[-1] - runs[0].times[-2] == pytest.approx(3 * dt)
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert np.array_equal(runs[0].states, runs[1].states)
+
+
+def test_simulate_singular_float_branch_matches_array_branch():
+    # ex1's embedded system with list-answering callbacks runs simulate_singular's
+    # float branch; the same callbacks wrapped to answer arrays run its numpy
+    # branch; the two must agree bit for bit
+    orbit = signal_field("orbit")
+    settings = IntegratorSettings(steps_per_period=64, projection=True)
+    dt = avgcore.oscillatory_step(
+        PARAMS.sigma_period, PARAMS.tau_period, PARAMS.omega, PARAMS.mu, settings
+    )
+    rng = np.random.default_rng(33)
+    for k in range(12):
+        ssys = embedded_system(PARAMS, orbit if k % 2 else STATIC, validate=False)
+        f1, g = ssys.f1.func, ssys.g
+        seen = set()
+
+        def listed(x, z, t, sigma, tau):
+            seen.add(type(x))
+            return f1(x, z, t, sigma, tau)
+
+        arrays = replace(
+            ssys,
+            f1=replace(ssys.f1, func=lambda *a: np.array(f1(*a))),
+            g=lambda x, z, t: np.array(g(x, z, t)),
+        )
+        t0, y0 = _random_start(rng)
+        runs = [
+            avgcore.simulate_singular(
+                system, y0[0:12], y0[12:], t0, 24 * dt, settings,
+                sample_dt=4 * dt, rotation_blocks=(3,),
+            )
+            for system in (replace(ssys, f1=replace(ssys.f1, func=listed)), arrays)
+        ]
+        # after the first call on x0, the float branch hands f1 lists
+        assert list in seen
+        assert len(runs[0]) == 7
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert np.array_equal(runs[0].states, runs[1].states)
 
 
 def test_rora_kernel_matches_rora_rhs():
@@ -317,7 +372,8 @@ def test_embedded_translation_at_reference_phases():
 
 
 def test_embedded_field_matches_transformed_rhs():
-    # the R^12 field is the co-rotating dynamics of (p, Q) without z, over sqrt(w)
+    # the R^12 field is the co-rotating dynamics of (p, Q) without z, over
+    # sqrt(w); the rot_exp form is the oracle of both
     f1 = embedded_field(PARAMS)
     sqw = math.sqrt(PARAMS.omega)
     rng = np.random.default_rng(28)
@@ -326,9 +382,11 @@ def test_embedded_field_matches_transformed_rhs():
         Q = rot_exp(rng.normal(size=3))
         z = float(rng.normal())
         t = float(rng.uniform(0.0, 50.0))
-        got = f1.func(embed_columns(p, Q).tolist(), [z], t, sqw * t, PARAMS.omega * t)
-        rates = seek3d._transformed_rates(p, Q.ravel().tolist(), z, t, PARAMS, STATIC)
-        assert np.abs(np.array(got) - np.array(rates[:12]) / sqw).max() < 1e-12
+        got = np.array(f1.func(embed_columns(p, Q).tolist(), [z], t, sqw * t, PARAMS.omega * t))
+        dp, dQ, _ = reference_transformed_rhs(p, Q, z, t, PARAMS, STATIC)
+        assert np.abs(got - np.concatenate([dp, dQ.ravel()]) / sqw).max() < 1e-12
+        dp, dQ, _ = transformed_rhs(p, Q, z, t, PARAMS, STATIC)
+        assert np.array_equal(sqw * got, np.concatenate([dp, dQ.ravel()]))
 
 
 def test_embedded_field_periodicity():
@@ -696,3 +754,61 @@ def test_residual_ball_shrinks_as_one_over_sqrt_omega():
         sups.append(radius.max())
     for wide, narrow in zip(sups, sups[1:]):
         assert 1.9 <= wide / narrow <= 2.1
+
+
+def test_coupled_filter_ball_grows_once_the_filter_lags():
+    """The singular-perturbation half of practical stability: the same
+    residual ball with the filter coupled at the demo's mu = 1 / (16 pi^2),
+    through transformed_trajectory (simulate_singular of the embedded system).
+
+    From p0 = (0.6, -0.4, 0.5), identity Q and z0 = c(p0), to t = 20 with
+    projection, |p| measured on [10, 20]. Mean |p| * sqrt(w / 2) measured
+    1.0027, 1.0008 and 1.1662 at w = 4 pi, 16 pi and 64 pi, against the
+    mu-free 1.0027, 1.0007 and 1.0004: the ball keeps the probing-loop radius
+    while mu w = 0.08 and 0.32, and grows by 17% at mu w = 4 / pi, where the
+    filter lags the forcing period. The sup of |p| fell by 1.961 from 4 pi to
+    16 pi, and not at all (0.970) from 16 pi to 64 pi. A dropped sqrt(2) in f
+    read 0.7145 at 4 pi and a flipped z in tau - z read 16.90.
+    """
+    p0 = np.array([0.6, -0.4, 0.5])
+    settings = IntegratorSettings(steps_per_period=64, projection=True)
+    means, sups = [], []
+    for omega in (4.0 * math.pi, 16.0 * math.pi, 64.0 * math.pi):
+        params = SeekParams(alpha=0.125, omega=omega, mu=1.0 / (16.0 * math.pi**2))
+        traj = transformed_trajectory(
+            params, STATIC, p0, np.eye(3), STATIC.strength(p0, 0.0), 0.0, 20.0, settings,
+            sample_dt=0.01,
+        )
+        radius = np.linalg.norm(traj.states[traj.times >= 10.0, 0:3], axis=1)
+        means.append(radius.mean() * math.sqrt(omega / 2.0))
+        sups.append(radius.max())
+    assert abs(means[0] - 1.0) <= 0.01 and abs(means[1] - 1.0) <= 0.01
+    assert 1.1 <= means[2] <= 1.25
+    assert 1.9 <= sups[0] / sups[1] <= 2.1
+    assert 0.9 <= sups[1] / sups[2] <= 1.1
+
+
+def test_approach_phase_follows_rora():
+    """The approach to the source: p of the reduced embedded system against
+    rora_trajectory from the demo's start (-2, -2, 6) with identity Q, at
+    w = 4 pi on t in [0, 10], sampled every 0.05.
+
+    The sup position gap measured 0.8287, and the sup gap of the rotation
+    rows from the rora's constant frame 0.0597. The bounds sit between these
+    and the readings of a doubled alpha in L of _frame_vectors, 0.8415 and
+    0.1547; a dropped sqrt(2) in f read 1.339 and a flipped z in tau - z
+    4.062 on the position gap.
+    """
+    params = SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2))
+    settings = IntegratorSettings(steps_per_period=64, projection=False)
+    reduced = avgcore.reduce_to_slow_manifold(
+        embedded_system(params, STATIC, validate=False), validate=False
+    )
+    traj = avgcore.simulate_two_scale(
+        reduced, embed_columns(P0, np.eye(3)), 0.0, 10.0, settings, sample_dt=0.05
+    )
+    rora = rora_trajectory(params, STATIC, P0, np.eye(3), 0.0, 10.0, settings, sample_dt=0.05)
+    assert np.allclose(traj.times, rora.times, rtol=0.0, atol=1e-12)
+    gap = np.linalg.norm(traj.states[:, 0:3] - rora.states[:, 0:3], axis=1).max()
+    assert gap <= 0.835
+    assert np.abs(traj.states[:, 3:12] - rora.states[:, 3:12]).max() <= 0.1
