@@ -65,13 +65,14 @@ class TwoScaleField:
     """Time-varying vector field f(x, t, sigma, tau) with declared periods.
 
     func takes a scalar tau and returns dim values, or a 1-D tau array and
-    returns shape (len(tau), dim). simulate_two_scale hands func the state
-    as a list of floats at scalar tau; func may answer with a list of
-    floats, which keeps the RK4 stages off numpy. jac, the state Jacobian
-    d f / d x, is called on tau arrays only and returns shape
-    (len(tau), dim, dim); when absent the quadrature takes central
-    differences. depends_sigma=False declares that func ignores sigma,
-    which lets the quadrature collapse the sigma dimension exactly.
+    returns shape (len(tau), dim). At scalar tau, simulate_two_scale keeps
+    odeint's rule: func gets the initial state as an array, then lists of
+    floats if it answered a list and f2 is zero (the RK4 stages stay off
+    numpy), else arrays. jac, the state Jacobian d f / d x, is called on
+    tau arrays only and returns shape (len(tau), dim, dim); when absent the
+    quadrature takes central differences. depends_sigma=False declares that
+    func ignores sigma, which lets the quadrature collapse the sigma
+    dimension exactly.
     """
 
     dim: int
@@ -193,12 +194,8 @@ class SingularSystem:
         if f2 is not None and (f1.dim != f2.dim or f1.fast_dim != f2.fast_dim):
             raise ValueError("f1 and f2 must agree in dim and fast_dim")
         if self.validate:
-            rng = random.Random(_CHECK_SEED)
-            self._check_equilibrium(rng)
-            reduced = reduce_to_slow_manifold(self, validate=False)
-            _check_periodicity(reduced.f1, rng)
-            _check_periodicity(reduced.f2, rng)
-            _check_zero_mean(reduced.f1, rng)
+            self._check_equilibrium(random.Random(_CHECK_SEED))
+            reduce_to_slow_manifold(self)  # TwoScaleSystem's checks of the reduced fields
 
     @property
     def dim(self) -> int:
@@ -478,10 +475,9 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     slow-time argument stays absolute. Anchoring makes runs of fields with
     no explicit t-dependence invariant under shifting t0.
 
-    The RHS takes and returns lists of floats, so odeint runs its float
-    loop: both fields get the state as a list of floats and may answer with
-    a list or an array. An f2 built by zero_field is never called, and
-    when f1 answers with a list no array is made at all.
+    An f2 built by zero_field is never called. The RHS answers a list of
+    floats when f1 answers one and f2 is zero, so odeint runs its float
+    loop, as for simulate_singular; otherwise it answers an array.
     """
     sqw = math.sqrt(sys.omega)
     w = sys.omega
@@ -489,16 +485,13 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     f2 = None if sys.f2.func is _zero_values else sys.f2.func
 
     def rhs(t, x):
-        if not isinstance(x, list):
-            x = x.tolist()
         el = t - t0
         sigma, tau = sqw * el, w * el
         v = f1(x, t, sigma, tau)
-        if f2 is None:
-            if isinstance(v, list):
-                return [sqw * a for a in v]
-            return (sqw * np.asarray(v)).tolist()
-        return (sqw * np.asarray(v) + np.asarray(f2(x, t, sigma, tau))).tolist()
+        if f2 is None and isinstance(v, list):
+            return [sqw * a for a in v]
+        dx = sqw * np.asarray(v)
+        return dx if f2 is None else dx + np.asarray(f2(x, t, sigma, tau))
 
     return rhs
 

@@ -1,6 +1,6 @@
 """Scenario runner: configuration, artifacts, sweeps, verification, CLI."""
 
-from .artifacts import RunArtifacts, run_scenario
+from .artifacts import run_scenario
 from .config import ConfigError, Scenario, load_config, parse_pi_value, scenario_from_dict
 from .scenarios import BUILTIN_NAMES, built_in
 from .sweep import run_sweep
@@ -9,7 +9,6 @@ from .verify import VerificationReport, verify_averaging
 __all__ = [
     "BUILTIN_NAMES",
     "ConfigError",
-    "RunArtifacts",
     "Scenario",
     "VerificationReport",
     "built_in",

@@ -5,9 +5,9 @@ pairwise comparison files are exact sample-by-sample differences. Floats are
 written with 17 significant digits, which round-trips doubles exactly.
 """
 
+import itertools
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,6 @@ _GRID_HALF, _GRID_N = 8.0, 9  # the gradient-inequality grid: half-width, points
 ROTATION_COLUMNS = ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
 STATE_COLUMNS = ["t", "px", "py", "pz", "z", "c"] + ROTATION_COLUMNS
 COMPARE_COLUMNS = ["t", "err_pos", "err_c"]
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """File inventory of one scenario run plus the in-memory summary."""
-
-    run_dir: str
-    csv_paths: dict
-    comparison_paths: dict
-    summary_path: str
-    summary: dict
-    svg_paths: tuple
 
 
 def write_csv(path, header, rows):
@@ -97,87 +85,65 @@ def run_representations(scenario: Scenario):
     return {rep: runs[rep]() for rep in scenario.representations}
 
 
-def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
-    """Run a scenario from t = 0, write CSVs, comparisons, SVGs and the summary."""
-    os.makedirs(out_dir, exist_ok=True)
+def run_scenario(scenario: Scenario, out_dir) -> dict:
+    """Run a scenario from t = 0, write CSVs, comparisons, SVGs and the summary.
+
+    Every representation is integrated before out_dir is made, so a run that
+    raises leaves no directory. Returns the summary as written.
+    """
     trajectories = run_representations(scenario)
-    field = scenario.field
-
-    csv_paths, tables = {}, {}
+    os.makedirs(out_dir, exist_ok=True)
+    name, field = scenario.name, scenario.field
+    csv_paths, reps, tables = {}, {}, {}
     for rep, traj in trajectories.items():
-        rows = _rep_table(rep, traj, scenario)
-        path = os.path.join(out_dir, f"{scenario.name}_{rep}.csv")
-        write_csv(path, STATE_COLUMNS, rows)
-        csv_paths[rep] = path
-        tables[rep] = rows
-
-    comparison_paths, comparisons = {}, {}
-    reps = list(trajectories)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            a, b = reps[i], reps[j]
-            ta, tb = tables[a], tables[b]
-            err_pos = np.linalg.norm(ta[:, 1:4] - tb[:, 1:4], axis=1)
-            err_c = np.abs(ta[:, 5] - tb[:, 5])
-            rows = np.column_stack([ta[:, 0], err_pos, err_c])
-            path = os.path.join(out_dir, f"{scenario.name}_compare_{a}_vs_{b}.csv")
-            write_csv(path, COMPARE_COLUMNS, rows)
-            comparison_paths[f"{a}_vs_{b}"] = path
-            comparisons[f"{a}_vs_{b}"] = {
-                "sup_err_pos": float(err_pos.max()),
-                "sup_err_c": float(err_c.max()),
-            }
-
-    summary = {
-        "scenario": scenario.name,
-        "field_spec": scenario.field_spec,
-        "t_final": scenario.t_final,
-        "sample_dt": scenario.sample_dt,
-        "representations": {},
-        "comparisons": comparisons,
-        "files": {"csv": csv_paths, "comparison": comparison_paths},
-    }
-    for rep, traj in trajectories.items():
-        t_end = traj.times[-1]
-        p_end = traj.states[-1][0:3]
-        summary["representations"][rep] = {
+        tables[rep] = _rep_table(rep, traj, scenario)
+        csv_paths[rep] = os.path.join(out_dir, f"{name}_{rep}.csv")
+        write_csv(csv_paths[rep], STATE_COLUMNS, tables[rep])
+        t_end, p_end = traj.times[-1], traj.states[-1][0:3]
+        source = np.array([field.source(t) for t in traj.times])
+        reps[rep] = {
             "samples": len(traj),
             "final_c": field.strength(p_end, t_end),
-            "final_distance_to_source": float(
-                np.linalg.norm(p_end - field.source(t_end))
-            ),
+            "final_distance_to_source": float(np.linalg.norm(p_end - field.source(t_end))),
             "max_so3_defect": _so3_drift(traj),
             "sup_distance_to_source": float(
-                np.linalg.norm(
-                    traj.states[:, 0:3] - np.array([field.source(t) for t in traj.times]),
-                    axis=1,
-                ).max()
+                np.linalg.norm(traj.states[:, 0:3] - source, axis=1).max()
             ),
         }
-    if scenario.field.kappa is not None:
-        summary["gradient_inequality"] = check_gradient_inequality(
-            field, scenario.field.kappa, scenario.p0
-        )
+
+    comparison_paths, comparisons = {}, {}
+    for a, b in itertools.combinations(tables, 2):
+        ta, tb = tables[a], tables[b]
+        err_pos = np.linalg.norm(ta[:, 1:4] - tb[:, 1:4], axis=1)
+        err_c = np.abs(ta[:, 5] - tb[:, 5])
+        key = f"{a}_vs_{b}"
+        comparison_paths[key] = os.path.join(out_dir, f"{name}_compare_{key}.csv")
+        rows = np.column_stack([ta[:, 0], err_pos, err_c])
+        write_csv(comparison_paths[key], COMPARE_COLUMNS, rows)
+        comparisons[key] = {"sup_err_pos": float(err_pos.max()), "sup_err_c": float(err_c.max())}
 
     # a local import, as in the CLI's plot command: sweeps and verification never load it
     from .svgplot import plot_artifacts
 
-    svg_paths = tuple(plot_artifacts(scenario.name, tables, out_dir, field))
-    summary["files"]["svg"] = list(svg_paths)
-
-    summary_path = os.path.join(out_dir, f"{scenario.name}_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    summary = {
+        "scenario": name,
+        "field_spec": scenario.field_spec,
+        "t_final": scenario.t_final,
+        "sample_dt": scenario.sample_dt,
+        "representations": reps,
+        "comparisons": comparisons,
+        "files": {
+            "csv": csv_paths,
+            "comparison": comparison_paths,
+            "svg": plot_artifacts(name, tables, out_dir, field),
+        },
+    }
+    if field.kappa is not None:
+        summary["gradient_inequality"] = check_gradient_inequality(field, field.kappa, scenario.p0)
+    with open(os.path.join(out_dir, f"{name}_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    return RunArtifacts(
-        run_dir=str(out_dir),
-        csv_paths=csv_paths,
-        comparison_paths=comparison_paths,
-        summary_path=summary_path,
-        summary=summary,
-        svg_paths=svg_paths,
-    )
+    return summary
 
 
 def check_gradient_inequality(field, kappa, around):
@@ -190,14 +156,12 @@ def check_gradient_inequality(field, kappa, around):
     c_star = field.strength(center, 0.0)
     axes = [np.linspace(v - _GRID_HALF, v + _GRID_HALF, _GRID_N) for v in np.asarray(around)]
     worst = np.inf
-    for x in axes[0]:
-        for y in axes[1]:
-            for zc in axes[2]:
-                p = np.array([x, y, zc])
-                margin = (
-                    field.strength(p, 0.0)
-                    - c_star
-                    + kappa * float(np.linalg.norm(field.gradient(p, 0.0)) ** 2)
-                )
-                worst = min(worst, margin)
+    for p in itertools.product(*axes):
+        p = np.array(p)
+        margin = (
+            field.strength(p, 0.0)
+            - c_star
+            + kappa * float(np.linalg.norm(field.gradient(p, 0.0)) ** 2)
+        )
+        worst = min(worst, margin)
     return {"kappa": kappa, "worst_margin": worst, "holds_on_grid": bool(worst >= 0.0)}

@@ -101,9 +101,9 @@ def _cmd_run(args):
     else:
         scenario = load_config(args.config)
     out_dir = _out_dir(args, scenario.name)
-    artifacts = run_scenario(scenario, out_dir)
-    print(f"wrote artifacts to {artifacts.run_dir}")
-    for rep, info in sorted(artifacts.summary["representations"].items()):
+    summary = run_scenario(scenario, out_dir)
+    print(f"wrote artifacts to {out_dir}")
+    for rep, info in sorted(summary["representations"].items()):
         print(
             f"  {rep}: final c = {info['final_c']:.6g}, "
             f"final distance = {info['final_distance_to_source']:.6g}"
@@ -206,13 +206,8 @@ def _cmd_plot(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_run,
-        "demo": _cmd_run,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "plot": _cmd_plot,
-    }
+    handlers = {"simulate": _cmd_run, "demo": _cmd_run, "sweep": _cmd_sweep,
+                "verify": _cmd_verify, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
     except (DivergenceError, QuadratureError, ValueError) as exc:

@@ -95,6 +95,15 @@ def _count(value, least: int) -> int:
     return int(value)
 
 
+def check_source_path(field: SignalField, t_final: float) -> None:
+    """ConfigError naming `field` when an orbit phase, rate * t, overflows by
+    t_final; the phases grow with t, so the path before t_final is finite."""
+    try:
+        field.source(t_final)
+    except ValueError:  # math.sin or math.cos of an infinite phase
+        raise ConfigError(f"field: the source path is not finite at t = {t_final:g}") from None
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a parsed configuration document into a Scenario.
 
@@ -147,9 +156,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if z0 != "slow-manifold":
         z0 = _collect(errors, "z0", lambda: _finite(z0))
 
+    if fld is not None and p0 is not None:
+        with np.errstate(over="ignore"):
+            c0 = fld.strength(p0, 0.0)
+        if not math.isfinite(c0):
+            where = "z0: the slow-manifold start" if z0 == "slow-manifold" else "p0: the signal"
+            errors.append(f"{where} c(p0) = {c0:g} is not finite")
+
     t_final = _collect(errors, "t_final", lambda: _finite(doc.get("t_final")))
     if t_final is not None and t_final <= 0:
         errors.append("t_final: must be positive")
+    elif fld is not None and t_final is not None:
+        _collect(errors, "field", lambda: check_source_path(fld, t_final))
 
     idoc = doc.get("integrator", {})
     integrator = stride = None

@@ -17,7 +17,7 @@ import numpy as np
 from .. import avgcore, seek3d
 from ..avgcore import ConvergenceReport
 from .artifacts import write_csv
-from .config import Scenario
+from .config import Scenario, check_source_path
 
 
 def run_sweep(
@@ -33,8 +33,10 @@ def run_sweep(
     Each run uses the scenario's integrator settings and is sampled at 400
     equal intervals of [0, t_final], so its sample_dt does not apply.
     The frequencies run one after another; workers is accepted and
-    ignored, because the benchmark under perfbench/ still passes it.
+    ignored, because the benchmark under perfbench/ still passes it. A
+    source path that is not finite at t_final raises ConfigError first.
     """
+    check_source_path(scenario.field, t_final)
     params = scenario.params
     z0 = scenario.initial_z(0.0)
     Q0 = seek3d.initial_Q(scenario.R0, z0, 0.0, params)

@@ -97,9 +97,7 @@ def verify_averaging(
     same level.
     """
     factor = (-1 if flip_bracket else 1) * (2 if swap_prefactors else 1)
-    params = seek3d.SeekParams(
-        alpha=1.0 / 8.0, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2)
-    )
+    params = seek3d.SeekParams(alpha=1.0 / 8.0, omega=4.0 * math.pi, mu=1.0 / (16.0 * math.pi**2))
     a_matrix, rot_res, _ = seek3d.compute_A_numeric(params, n_probes=n_probes, seed=seed)
     a_matrix, rot_res = factor * a_matrix, abs(factor) * rot_res
     a_error = float(np.abs(a_matrix - seek3d.AVERAGED_GAIN).max())
@@ -127,11 +125,4 @@ def verify_averaging(
             )
         else:
             diagnosis = "discrepancy does not match a known convention error"
-    return VerificationReport(
-        a_matrix=a_matrix,
-        a_error=a_error,
-        rotation_residual=rot_res,
-        sincos_error=sincos_error,
-        passed=passed,
-        diagnosis=diagnosis,
-    )
+    return VerificationReport(a_matrix, a_error, rot_res, sincos_error, passed, diagnosis)

@@ -57,7 +57,7 @@ def ex2_artifacts(tmp_path_factory):
 def _c_samples(artifacts, rep):
     from recavg.runner.artifacts import read_csv
 
-    header, data = read_csv(artifacts.csv_paths[rep])
+    header, data = read_csv(artifacts["files"]["csv"][rep])
     t = data[:, header.index("t")]
     c = data[:, header.index("c")]
     p = data[:, header.index("px") : header.index("pz") + 1]
@@ -128,12 +128,12 @@ def test_criterion_4_stationary_source(ex1_artifacts):
 
 
 def test_criterion_5_orbit_tracking(ex2_artifacts):
-    sup = ex2_artifacts.summary["representations"]["full"]["sup_distance_to_source"]
+    sup = ex2_artifacts["representations"]["full"]["sup_distance_to_source"]
     # restrict to the settled window
     from recavg.runner.artifacts import read_csv
 
     field = built_in("ex2").field
-    header, data = read_csv(ex2_artifacts.csv_paths["full"])
+    header, data = read_csv(ex2_artifacts["files"]["csv"]["full"])
     t = data[:, 0]
     p = data[:, 1:4]
     window = (t >= 100.0) & (t <= 200.0)
@@ -179,7 +179,7 @@ def test_criterion_7_manifold_invariants(ex1_artifacts, ex2_artifacts):
     worst = 0.0
     details = []
     for label, art in (("ex1", ex1_artifacts), ("ex2", ex2_artifacts)):
-        for rep, info in art.summary["representations"].items():
+        for rep, info in art["representations"].items():
             worst = max(worst, info["max_so3_defect"])
             details.append(f"{label}/{rep} {info['max_so3_defect']:.1e}")
     ok = worst <= 1e-8

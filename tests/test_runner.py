@@ -174,6 +174,42 @@ def test_cli_non_finite_config_values_rejected(tmp_path, capsys, key, value, fie
     assert not out.exists()
 
 
+# inputs that passed validation and then ended in "math domain error": an
+# orbit phase rate * t that overflows, and a start so far out that c(p0) = -inf
+OVERFLOW_CONFIGS = {
+    "orbit-rate-1e308": (
+        {"field": {"kind": "orbit", "rate": 1e308}, "t_final": 5.0},
+        "field: the source path is not finite at t = 5",
+    ),
+    "p0-1e200": ({"p0": [1e200, 0.0, 0.0]}, "z0: the slow-manifold start c(p0) = -inf"),
+    "p0-1e200-z0-given": ({"p0": [1e200, 0.0, 0.0], "z0": 0.5}, "p0: the signal c(p0) = -inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("overrides, message", OVERFLOW_CONFIGS.values(), ids=OVERFLOW_CONFIGS)
+def test_cli_overflowing_config_refused(tmp_path, capsys, command, overrides, message):
+    sweep_args = ["--omegas", "4pi,16pi,64pi", "--t-final", "5"] if command == "sweep" else []
+    out = tmp_path / "out"
+    cfg = short_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg, *sweep_args, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+    assert not out.exists()
+
+
+def test_cli_sweep_checks_the_source_path_at_its_t_final(tmp_path, capsys):
+    # rate * 1 is finite, so the config passes; rate * 5 overflows
+    cfg = short_config(tmp_path, field={"kind": "orbit", "rate": 1e308}, t_final=1.0)
+    assert load_config(cfg).t_final == 1.0
+    out = tmp_path / "out"
+    args = ["sweep", "--config", cfg, "--omegas", "4pi,16pi,64pi", "--t-final", "5"]
+    assert main([*args, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: field: the source path is not finite at t = 5\n"
+    assert not out.exists()
+
+
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -295,11 +331,11 @@ def test_csv_round_trip_exact(tmp_path):
 
 def test_scenario_csv_round_trip(tmp_path):
     sc = load_config(short_config(tmp_path))
-    art = run_scenario(sc, tmp_path / "run")
-    for rep, path in art.csv_paths.items():
+    summary = run_scenario(sc, tmp_path / "run")
+    for rep, path in summary["files"]["csv"].items():
         header, data = read_csv(path)
         assert header[:6] == ["t", "px", "py", "pz", "z", "c"]
-        assert len(data) == art.summary["representations"][rep]["samples"]
+        assert len(data) == summary["representations"][rep]["samples"]
         # rewrite and compare bytes: parse -> format is the identity
         path2 = tmp_path / f"again_{rep}.csv"
         write_csv(path2, header, data)
@@ -331,9 +367,10 @@ def test_repeated_runs_byte_identical(tmp_path):
     sc = load_config(short_config(tmp_path))
     a = run_scenario(sc, tmp_path / "a")
     b = run_scenario(sc, tmp_path / "b")
-    for rep in a.csv_paths:
-        assert open(a.csv_paths[rep], "rb").read() == open(b.csv_paths[rep], "rb").read()
-    for pa, pb in zip(a.svg_paths, b.svg_paths):
+    for rep in a["files"]["csv"]:
+        pa, pb = a["files"]["csv"][rep], b["files"]["csv"][rep]
+        assert open(pa, "rb").read() == open(pb, "rb").read()
+    for pa, pb in zip(a["files"]["svg"], b["files"]["svg"]):
         assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
@@ -341,9 +378,9 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 def test_svg_files_valid_xml(tmp_path):
     sc = load_config(short_config(tmp_path))
-    art = run_scenario(sc, tmp_path / "run")
-    assert len(art.svg_paths) == 4
-    for path in art.svg_paths:
+    svg_paths = run_scenario(sc, tmp_path / "run")["files"]["svg"]
+    assert len(svg_paths) == 4
+    for path in svg_paths:
         assert os.path.getsize(path) > 0
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
@@ -378,8 +415,7 @@ def test_empty_trajectory_plot_rejected(tmp_path):
 def test_kappa_grid_check_in_summary(tmp_path):
     path = short_config(tmp_path, field={"kind": "static", "kappa": 30.0})
     sc = load_config(path)
-    art = run_scenario(sc, tmp_path / "run")
-    rec = art.summary["gradient_inequality"]
+    rec = run_scenario(sc, tmp_path / "run")["gradient_inequality"]
     assert rec["kappa"] == 30.0
     assert "holds_on_grid" in rec and "worst_margin" in rec
 
@@ -627,17 +663,55 @@ def test_cli_plot_bad_trajectory_csv_is_config_error(tmp_path, capsys, body):
 
 def test_summary_comparisons_match_csv_maxima(tmp_path):
     sc = load_config(short_config(tmp_path, representations=["full", "transformed", "rora"]))
-    art = run_scenario(sc, tmp_path / "run")
-    assert set(art.summary["comparisons"]) == set(art.comparison_paths)
-    for key, path in art.comparison_paths.items():
+    summary = run_scenario(sc, tmp_path / "run")
+    comparison_paths = summary["files"]["comparison"]
+    assert set(summary["comparisons"]) == set(comparison_paths)
+    for key, path in comparison_paths.items():
         header, data = read_csv(path)
         assert header == ["t", "err_pos", "err_c"]
-        assert art.summary["comparisons"][key] == {
+        assert summary["comparisons"][key] == {
             "sup_err_pos": float(data[:, 1].max()),
             "sup_err_c": float(data[:, 2].max()),
         }
-    on_disk = json.loads(open(art.summary_path, encoding="utf-8").read())
-    assert on_disk["comparisons"] == art.summary["comparisons"]
+    on_disk = json.loads((tmp_path / "run" / "short_summary.json").read_text(encoding="utf-8"))
+    assert on_disk["comparisons"] == summary["comparisons"]
+
+
+def test_run_scenario_returns_the_summary_it_writes(tmp_path):
+    sc = load_config(short_config(tmp_path, field={"kind": "static", "kappa": 30.0}))
+    summary = run_scenario(sc, tmp_path / "run")
+    on_disk = json.loads((tmp_path / "run" / "short_summary.json").read_text(encoding="utf-8"))
+    assert summary == on_disk
+
+
+def _diverge_transformed(monkeypatch):
+    from recavg.odeint import DivergenceError
+    from recavg.runner import artifacts
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError(1.5)
+
+    monkeypatch.setattr(artifacts, "transformed_trajectory", diverge)
+
+
+def test_run_that_raises_leaves_no_run_directory(tmp_path, monkeypatch):
+    from recavg.odeint import DivergenceError
+
+    _diverge_transformed(monkeypatch)
+    sc = load_config(short_config(tmp_path, representations=["full", "transformed", "rora"]))
+    with pytest.raises(DivergenceError):
+        run_scenario(sc, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_that_diverges_writes_nothing(tmp_path, monkeypatch, capsys):
+    _diverge_transformed(monkeypatch)
+    cfg = short_config(tmp_path, representations=["full", "transformed", "rora"])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "t = 1.5" in err
+    assert not out.exists()
 
 
 def test_tables_and_summary_match_row_loops(tmp_path):
@@ -652,7 +726,7 @@ def test_tables_and_summary_match_row_loops(tmp_path):
         tmp_path, field={"kind": "orbit"}, representations=["full", "transformed", "rora"],
         integrator={"steps_per_period": 64, "projection": False, "sample_stride": 8},
     ))
-    art = run_scenario(sc, tmp_path / "run")
+    summary = run_scenario(sc, tmp_path / "run")
     for rep, traj in run_representations(sc).items():
         rows = []
         for t, y in zip(traj.times, traj.states):
@@ -661,10 +735,10 @@ def test_tables_and_summary_match_row_loops(tmp_path):
             if rep == "transformed":
                 rot = reconstruct_R(rot, y[12], t, sc.params)
             rows.append([t, *y[0:3], c if rep == "rora" else y[12], c, *rot.ravel()])
-        _, table = read_csv(art.csv_paths[rep])
+        _, table = read_csv(summary["files"]["csv"][rep])
         assert np.array_equal(table[:, :6], np.array(rows)[:, :6])
         assert np.abs(table[:, 6:] - np.array(rows)[:, 6:]).max() <= 1e-15
-        info = art.summary["representations"][rep]
+        info = summary["representations"][rep]
         drift = max(so3_defect(y[3:12].reshape(3, 3)) for y in traj.states)
         assert abs(info["max_so3_defect"] - drift) <= 1e-15
         sup = max(
@@ -674,15 +748,13 @@ def test_tables_and_summary_match_row_loops(tmp_path):
 
 
 def test_cli_demo_runs_builtin_scenario(tmp_path, monkeypatch, capsys):
-    from types import SimpleNamespace
-
     from recavg.runner import cli
 
     seen = []
 
     def fake_run(scenario, out_dir):
         seen.append((scenario, out_dir))
-        return SimpleNamespace(run_dir=out_dir, summary={"representations": {}})
+        return {"representations": {}}
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)
     assert main(["demo", "ex2", "--out", str(tmp_path / "o")]) == EXIT_OK
