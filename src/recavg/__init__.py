@@ -25,7 +25,6 @@ from .avgcore import (
     TwoScaleSystem,
     average_fields,
     convergence_study,
-    lie_bracket,
     rora_reduce,
     simulate_averaged,
     simulate_singular,
@@ -54,7 +53,6 @@ __all__ = [
     "geom3",
     "integrate",
     "integrate_projected",
-    "lie_bracket",
     "odeint",
     "rora_reduce",
     "seek3d",

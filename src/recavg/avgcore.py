@@ -12,11 +12,12 @@ quadrature: the fast-time bracket term
 plus the plain mean of f2 with prefactor 1 / (T1 T2). The integrands are
 smooth and periodic, so each integral is the plain mean over n equispaced
 nodes per period (the periodic trapezoid rule). The bracket term is taken by
-parts, as the mean of J (2 G - G(T2)) with G = int_0^tau f1 and J = D f1, so
-only f1's values need the spectral antiderivative. The Lie bracket convention
-is [u, v] = (Dv) u - (Du) v; both it and the placement of the 1/2 prefactor
-on the bracket term are pinned by the closed-form oracles in the test suite
-(sin/cos fields and the rigid-body gain matrix).
+parts, as the mean of J ((P - P^T) f1) with J = D f1 and P the spectral
+antiderivative int_0^tau: one skew matrix per pass on small grids, two FFTs
+per sigma node on large ones. The Lie bracket convention is
+[u, v] = (Dv) u - (Du) v; it and the 1/2 prefactor on the bracket term are
+pinned by closed-form oracles in the test suite (sin/cos fields, the
+rigid-body gain matrix, random trigonometric linear systems).
 
 A singularly perturbed variant carries a fast filter state z with
 mu * dz/dt = g(x, z); its reduced counterpart substitutes the
@@ -36,6 +37,9 @@ from .odeint import IntegratorSettings, Trajectory, _plan_steps, integrate
 _CHECK_SEED = 20260810
 _ASSUMPTION_TOL = 1e-7
 _PERIODICITY_TOL = 1e-9
+# the bracket goes through the skew matrix on tau grids up to this size: a pass
+# took 0.6-0.9x the FFT form's time up to 512 nodes, and 1.4x at 1,024
+_SKEW_MAX_NODES = 512
 
 
 class QuadratureError(RuntimeError):
@@ -313,14 +317,29 @@ def _antiderivative_to_end(values, length: float) -> np.ndarray:
     return anti.mean(axis=0) - anti + (ramp * values).mean(axis=0)
 
 
-def _fd_step(x) -> float:
-    return max(1e-6, 1e-6 * float(np.abs(x).max()))
+def _bracket_skew(n: int, length: float) -> np.ndarray:
+    """P - P^T for P = _periodic_antiderivative as an n x n matrix: column j
+    of P is q = P e_0 - tau / n shifted down by j, less the shifted column's
+    first entry, plus tau / n: one antiderivative and a strided view build it."""
+    ramp = _periodic_nodes(n, length) / n
+    q = _periodic_antiderivative(np.eye(1, n)[0], length) - ramp
+    circulant = np.lib.stride_tricks.sliding_window_view(np.concatenate((q[1:], q)), n)[:, ::-1]
+    anti = circulant - circulant[0] + ramp[:, None]
+    return anti - anti.T
+
+
+def _by_parts_factor(n: int, length: float, sigma_nodes: int) -> Callable:
+    """(P - P^T) as a map of f1's values on the tau grid: the skew matrix for
+    many sigma nodes on a small grid, two FFT antiderivatives otherwise."""
+    if sigma_nodes > 1 and n <= _SKEW_MAX_NODES:
+        return _bracket_skew(n, length).__matmul__
+    return lambda vals: _periodic_antiderivative(vals, length) - _antiderivative_to_end(vals, length)
 
 
 def fd_jacobian(func, x) -> np.ndarray:
     """Central finite-difference Jacobian of func at x."""
     x = np.asarray(x, dtype=float)
-    h = _fd_step(x)
+    h = max(1e-6, 1e-6 * float(np.abs(x).max()))
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -330,20 +349,6 @@ def fd_jacobian(func, x) -> np.ndarray:
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite Jacobian entries")
     return jac
-
-
-def lie_bracket(f, g, x, jac_f=None, jac_g=None) -> np.ndarray:
-    """Lie bracket [f, g](x) = (Dg)(x) f(x) - (Df)(x) g(x).
-
-    f and g map R^n -> R^n with any extra arguments already frozen.
-    Jacobians are used when supplied and finite-differenced otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    df = np.asarray(jac_f(x)) if jac_f is not None else fd_jacobian(f, x)
-    dg = np.asarray(jac_g(x)) if jac_g is not None else fd_jacobian(g, x)
-    if not (np.all(np.isfinite(df)) and np.all(np.isfinite(dg))):
-        raise ValueError("non-finite Jacobian entries")
-    return dg @ np.asarray(f(x)) - df @ np.asarray(g(x))
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +366,20 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n):
     """One pass of the averaged drift at (x, t) on an n x n periodic grid.
 
     The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
-    antiderivative int_0^tau (_periodic_antiderivative) and G = P f1, is
-    taken by parts: the tau-sum of (P J) f1 equals that of J (P^T f1), and
-    P^T f1 is int_tau^T f1, so J (G - P^T f1) = J (2 G - G(T)) needs no
-    antiderivative of J. When neither field depends on sigma, one sigma
-    node is exact.
+    antiderivative int_0^tau and G = P f1, is taken by parts: the tau-sum
+    of (P J) f1 equals that of J (P^T f1), so it sums as J ((P - P^T) f1).
+    When neither field depends on sigma, one sigma node is exact.
     """
     f1, f2 = sys.f1, sys.f2
     taus = _periodic_nodes(n, f1.T2)
     sigmas = _periodic_nodes(n, f1.T1) if f1.depends_sigma or f2.depends_sigma else [0.0]
-
+    by_parts = _by_parts_factor(n, f1.T2, len(sigmas))
     x = np.asarray(x, dtype=float)
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
     for sig in sigmas:
         vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
-        by_parts = _periodic_antiderivative(vals, f1.T2) - _antiderivative_to_end(vals, f1.T2)
-        bracket += np.einsum("mij,mj->i", jacs, by_parts)
+        bracket += np.einsum("mij,mj->i", jacs, by_parts(vals))
         mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
     points = len(sigmas) * n
     # times 1 / points, then halved: the rounding every pinned result was made with

@@ -140,12 +140,11 @@ def _feedback(p, z: float, t: float, params: SeekParams, field: SignalField):
     oscillates as 2 alpha sqrt(2 omega) sin(omega t - z + pi/4).
     """
     zdot = (field.strength(p, t) - z) / params.mu
-    omega_roll = (
-        2.0
-        * params.alpha
-        * math.sqrt(2.0 * params.omega)
-        * math.sin(params.omega * t - z + math.pi / 4.0)
-    )
+    try:
+        wave = math.sin(params.omega * t - z + math.pi / 4.0)
+    except ValueError:  # an infinite z: nan rates, which odeint reports as divergence
+        wave = math.nan
+    omega_roll = 2.0 * params.alpha * math.sqrt(2.0 * params.omega) * wave
     return omega_roll, params.omega - zdot, zdot
 
 

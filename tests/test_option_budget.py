@@ -14,12 +14,12 @@ from pathlib import Path
 
 import recavg
 
-# ROADMAP item 4 caps the count at 50; 48 is the count the code has
+# ROADMAP item 4 caps the count at 50; 46 is the count the code has
 # reached, so a new option has to replace an old one or be argued for there
-MAX_SETTABLE = 48
+MAX_SETTABLE = 46
 # the lines of src/recavg/**/*.py, counted as ROADMAP tracks them; the code
 # has reached this count, so new code has to pay for itself with deletions
-MAX_SRC_LINES = 2723
+MAX_SRC_LINES = 2722
 
 
 def settable_values():

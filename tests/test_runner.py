@@ -22,7 +22,7 @@ from recavg.runner import (
     verify_averaging,
 )
 from recavg.runner.artifacts import read_csv, write_csv
-from recavg.runner.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from recavg.runner.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from recavg.runner.svgplot import _Canvas, plot_lines
 from recavg.seek3d import rora_drift
 
@@ -195,6 +195,20 @@ def test_cli_overflowing_config_refused(tmp_path, capsys, command, overrides, me
     assert main([command, "--config", cfg, *sweep_args, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("z0", [1e300, 1e200])
+def test_cli_filter_blowup_is_divergence(tmp_path, capsys, z0):
+    # z0 is finite, so the config passes; the filter rate (c - z) / mu sends
+    # the full seeker's state to inf inside one RK4 step
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", short_config(tmp_path, z0=z0), "--out", str(out)]) == (
+        EXIT_DIVERGED
+    )
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "error: non-finite state encountered at t = " in err
     assert not out.exists()
 
 

@@ -114,6 +114,14 @@ def test_roll_amplitude_extremes():
     assert abs(roll0) < 1e-12
 
 
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_non_finite_filter_state_gives_non_finite_rates(z):
+    # odeint's after-step check turns these into DivergenceError; a ValueError
+    # from math.sin of an infinite phase would read as a config error
+    roll, yaw, zdot = _feedback(np.zeros(3), z, 0.0, PARAMS, STATIC)
+    assert not any(map(math.isfinite, (roll, yaw, zdot)))
+
+
 def test_full_rhs_identity_attitude():
     state = RigidState(p=P0, R=np.eye(3), z=STATIC.strength(P0, 0.0))
     dp, _, _ = full_rhs(state, 0.0, PARAMS, STATIC)
