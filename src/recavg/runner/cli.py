@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from ..avgcore import QuadratureError
 from ..odeint import DivergenceError
 from .artifacts import STATE_COLUMNS, read_csv, run_scenario
@@ -209,7 +211,9 @@ def main(argv=None) -> int:
     handlers = {"simulate": _cmd_run, "demo": _cmd_run, "sweep": _cmd_sweep,
                 "verify": _cmd_verify, "plot": _cmd_plot}
     try:
-        return handlers[args.command](args)
+        # odeint reports a diverging state once, as DivergenceError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (DivergenceError, QuadratureError, ValueError) as exc:
         # ConfigError and every other ValueError report as configuration errors
         print(f"error: {exc}", file=sys.stderr)

@@ -211,18 +211,19 @@ def _turn_in_plane(c, s, u, v):
     return c * u + h, c * v + h, (v - u) * (s / _SQRT2)
 
 
-def _frame_vectors(z: float, sigma: float, tau: float, alpha: float):
-    """The vectors f and L of transformed_rhs as two 3-tuples of floats.
+def _frame_vectors(trig, z: float, sigma: float, tau, alpha: float):
+    """The vectors f and L of transformed_rhs as two 3-tuples.
 
     f = sqrt(2) R2(sigma) R1(tau, z) e1 and
-    L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2), at scalar
-    arguments; _embedded_frame is the same map over a tau grid.
+    L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2). trig is the
+    module whose cos and sin take tau - z: math for a scalar tau, numpy for
+    a tau grid, whose components come back as arrays of the grid's shape.
     """
     th = _SQRT2 * alpha * sigma
     c, s = math.cos(th), math.sin(th)
     phi = tau - z
-    f = _turn_in_plane(c, s, _SQRT2 * math.cos(phi), _SQRT2 * math.sin(phi))
-    c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    f = _turn_in_plane(c, s, _SQRT2 * trig.cos(phi), _SQRT2 * trig.sin(phi))
+    c2, s2 = trig.cos(2.0 * phi), trig.sin(2.0 * phi)
     lam = _turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2))
     return f, lam
 
@@ -236,7 +237,7 @@ def transformed_rhs(p, Q, z, t, params: SeekParams, field: SignalField):
     field's scalar kernel, and dz = g / mu of embedded_system.
     """
     sqw = math.sqrt(params.omega)
-    frame = _frame_vectors(float(z), sqw * t, params.omega * t, params.alpha)
+    frame = _frame_vectors(math, float(z), sqw * t, params.omega * t, params.alpha)
     out = sqw * np.array(_rigid_rates(np.ravel(Q).tolist(), *frame))
     zdot = (field.strength(p, t) - z) / params.mu
     return out[0:3], out[3:12].reshape(3, 3), float(zdot)
@@ -296,17 +297,6 @@ def _rora_rates(p, q, t, field) -> list:
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
-def _embedded_frame(z: float, sigma: float, taus, alpha: float):
-    """_frame_vectors's f and L on a tau grid, both of shape (3, len(taus))."""
-    th = _SQRT2 * alpha * sigma
-    c, s = math.cos(th), math.sin(th)
-    phi = np.asarray(taus) - z
-    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    f = np.array(_turn_in_plane(c, s, _SQRT2 * np.cos(phi), _SQRT2 * np.sin(phi)))
-    lam = np.array(_turn_in_plane(c, s, alpha * (c2 + s2), alpha * (s2 - c2)))
-    return f, lam
-
-
 def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
     """d f/dz and d L/dz on a tau grid, both of shape (3, len(taus)).
 
@@ -323,23 +313,6 @@ def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
     return fz, lamz
 
 
-def _embedded_rows(x, f, lam):
-    """Embedded field rows, shape (m, 12), for f and L of shape (3, m).
-
-    At each node: Q f, then the rows q_i x L of Q hat(L), _rigid_rates's
-    products and differences broadcast over the nodes. Linear in (f, L):
-    the same map of their z-derivatives is jac_z.
-    """
-    Q = x[3:12].reshape(3, 3)
-    l0, l1, l2 = lam[:, :, None]
-    out = np.empty((f.shape[1], 4, 3))
-    out[:, 0] = f.T @ Q.T
-    out[:, 1:, 0] = l2 * Q[:, 1] - l1 * Q[:, 2]
-    out[:, 1:, 1] = l0 * Q[:, 2] - l2 * Q[:, 0]
-    out[:, 1:, 2] = l1 * Q[:, 0] - l0 * Q[:, 1]
-    return out.reshape(-1, EMBEDDED_DIM)
-
-
 def embedded_field(params: SeekParams) -> SingularField:
     """The R^12 field of the transformed kinematics on [p, rows of Q].
 
@@ -349,11 +322,12 @@ def embedded_field(params: SeekParams) -> SingularField:
     plain matrices: f^T in the translation rows and -hat(L) on the diagonal
     of the rotation rows.
 
-    The callbacks keep SingularField's contract, and func picks its kernel
-    by tau: a tau array gets the broadcast rows of shape (len(tau), 12)
-    (_embedded_rows), and a scalar tau gets _rigid_rates's 12 floats as a
-    list, for a state given as a list of floats or as an array. jac_x and
-    jac_z take tau arrays only.
+    The callbacks keep SingularField's contract, and each runs the scalar
+    kernels: func picks the trig module by tau, and a tau array gets
+    _rigid_rates broadcast over the grid, rows of shape (len(tau), 12),
+    while a scalar tau gets its 12 floats as a list, for a state given as a
+    list of floats or as an array. jac_x and jac_z take tau arrays only;
+    jac_z is the same linear map of the z-derivatives of f and L.
     """
     alpha, ndarray = params.alpha, np.ndarray
 
@@ -361,23 +335,22 @@ def embedded_field(params: SeekParams) -> SingularField:
         # an exact type test on a local name: on a float tau, the sweep's RK4
         # stages pay ~40 ns a call more for isinstance(tau, np.ndarray)
         if type(tau) is ndarray:
-            f, lam = _embedded_frame(z[0], sigma, tau, alpha)
-            return _embedded_rows(np.asarray(x, float), f, lam)
-        return _rigid_rates(x[3:12], *_frame_vectors(z[0], sigma, tau, alpha))
+            return np.array(_rigid_rates(x[3:12], *_frame_vectors(np, z[0], sigma, tau, alpha))).T
+        return _rigid_rates(x[3:12], *_frame_vectors(math, z[0], sigma, tau, alpha))
 
     def jac_x(x, z, t, sigma, taus):
-        f, (l0, l1, l2) = _embedded_frame(z[0], sigma, taus, alpha)
-        zero = np.zeros_like(l0)
+        f, (l0, l1, l2) = _frame_vectors(np, z[0], sigma, taus, alpha)
+        f_t, zero = np.transpose(f), np.zeros_like(l0)
         minus_hat = np.moveaxis(np.array([[zero, l2, -l1], [-l2, zero, l0], [l1, -l0, zero]]), 2, 0)
         jac = np.zeros((len(taus), 4, 3, 4, 3))
         for i in range(3):
-            jac[:, 0, i, 1 + i] = f.T
+            jac[:, 0, i, 1 + i] = f_t
             jac[:, 1 + i, :, 1 + i] = minus_hat
         return jac.reshape(-1, EMBEDDED_DIM, EMBEDDED_DIM)
 
     def jac_z(x, z, t, sigma, taus):
         fz, lamz = _embedded_frame_dz(z[0], sigma, taus, alpha)
-        return _embedded_rows(np.asarray(x, float), fz, lamz)[:, :, None]
+        return np.array(_rigid_rates(x[3:12], fz, lamz)).T[:, :, None]
 
     return SingularField(
         dim=EMBEDDED_DIM,

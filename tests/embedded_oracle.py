@@ -7,6 +7,8 @@ other: x_columns = x_rows[COLUMNS] and back, since the map is Q -> Q^T on
 the rotation block and so its own inverse.
 """
 
+import math
+
 import numpy as np
 
 from recavg.seek3d import _frame_vectors
@@ -28,7 +30,7 @@ def embedded_rows(x, f, lam):
 
 def embedded_rates(x, z, sigma, tau, alpha):
     """The 12 column-layout floats at one tau, for x given as 12 floats."""
-    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(z, sigma, tau, alpha)
+    (f0, f1, f2), (l0, l1, l2) = _frame_vectors(math, z, sigma, tau, alpha)
     _, _, _, a0, a1, a2, b0, b1, b2, c0, c1, c2 = x
     return [
         f0 * a0 + f1 * b0 + f2 * c0,

@@ -19,7 +19,7 @@ import recavg
 MAX_SETTABLE = 46
 # the lines of src/recavg/**/*.py, counted as ROADMAP tracks them; the code
 # has reached this count, so new code has to pay for itself with deletions
-MAX_SRC_LINES = 2722
+MAX_SRC_LINES = 2699
 
 
 def settable_values():

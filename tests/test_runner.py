@@ -198,7 +198,6 @@ def test_cli_overflowing_config_refused(tmp_path, capsys, command, overrides, me
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("z0", [1e300, 1e200])
 def test_cli_filter_blowup_is_divergence(tmp_path, capsys, z0):
     # z0 is finite, so the config passes; the filter rate (c - z) / mu sends

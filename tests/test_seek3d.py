@@ -7,6 +7,7 @@ and the exact change of variables between the full and co-rotating forms.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_transformed_reduces_to_identity_phases():
     Q = np.eye(3)
     # evaluate the pieces directly at tau = z
     sigma = 0.0
-    f, lam = seek3d._frame_vectors(z, sigma, z, params.alpha)
+    f, lam = seek3d._frame_vectors(math, z, sigma, z, params.alpha)
     assert np.abs(f - math.sqrt(2.0) * E1).max() < 1e-12
     assert np.abs(lam - params.alpha * (E1 - E2)).max() < 1e-12
 
@@ -170,7 +171,7 @@ def test_transformed_norm_invariants():
         t = float(rng.uniform(0.0, 10.0))
         sigma = math.sqrt(PARAMS.omega) * t
         tau = PARAMS.omega * t
-        f, lam = seek3d._frame_vectors(z, sigma, tau, PARAMS.alpha)
+        f, lam = seek3d._frame_vectors(math, z, sigma, tau, PARAMS.alpha)
         assert abs(np.linalg.norm(f) - math.sqrt(2.0)) < 1e-12
         assert abs(np.linalg.norm(lam) - PARAMS.alpha * math.sqrt(2.0)) < 1e-12
 
@@ -444,6 +445,17 @@ def reference_embedded_pieces(z, sigma, taus, alpha):
     return f, fz, lam, lamz
 
 
+def reference_embedded_rows(x, f, lam):
+    """The np.outer form of the rows-layout field: Q f, then q_i x L for each row q_i."""
+    Q = x[3:12].reshape(3, 3)
+    out = np.empty((f.shape[1], 4, 3))
+    out[:, 0] = f.T @ Q.T
+    out[:, 1:, 0] = np.outer(lam[2], Q[:, 1]) - np.outer(lam[1], Q[:, 2])
+    out[:, 1:, 1] = np.outer(lam[0], Q[:, 2]) - np.outer(lam[2], Q[:, 0])
+    out[:, 1:, 2] = np.outer(lam[1], Q[:, 0]) - np.outer(lam[0], Q[:, 1])
+    return out.reshape(-1, 12)
+
+
 def _close(got, want):
     return np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
@@ -456,7 +468,7 @@ def test_embedded_frame_helpers_match_four_piece_reference():
         sigma = float(rng.uniform(-50.0, 50.0))
         taus = rng.uniform(-20.0, 20.0, int(rng.integers(1, 130)))
         f, fz, lam, lamz = reference_embedded_pieces(z, sigma, taus, alpha)
-        got_f, got_lam = seek3d._embedded_frame(z, sigma, taus, alpha)
+        got_f, got_lam = map(np.array, seek3d._frame_vectors(np, z, sigma, taus, alpha))
         got_fz, got_lamz = seek3d._embedded_frame_dz(z, sigma, taus, alpha)
         for got, want in ((got_f, f), (got_lam, lam), (got_fz, fz), (got_lamz, lamz)):
             assert got.shape == want.shape == (3, taus.size)
@@ -473,31 +485,22 @@ def test_embedded_callbacks_match_four_piece_reference():
         sigma = float(rng.uniform(-50.0, 50.0))
         taus = rng.uniform(-20.0, 20.0, 9)
         f, fz, lam, lamz = reference_embedded_pieces(float(z[0]), sigma, taus, params.alpha)
-        rows = seek3d._embedded_rows(x, f, lam)
+        rows = reference_embedded_rows(x, f, lam)
         assert _close(f1.func(x, z, 0.0, sigma, taus), rows), i
         assert _close(f1.func(x, z, 0.0, sigma, float(taus[0])), rows[0]), i
         assert _close(f1.jac_x(x, z, 0.0, sigma, taus) @ x, rows), i
         assert _close(f1.jac_z(x, z, 0.0, sigma, taus)[:, :, 0],
-                      seek3d._embedded_rows(x, fz, lamz)), i
-
-
-def reference_embedded_rows(x, f, lam):
-    """The np.outer form of the rows-layout field: Q f, then q_i x L for each row q_i."""
-    Q = x[3:12].reshape(3, 3)
-    out = np.empty((f.shape[1], 4, 3))
-    out[:, 0] = f.T @ Q.T
-    out[:, 1:, 0] = np.outer(lam[2], Q[:, 1]) - np.outer(lam[1], Q[:, 2])
-    out[:, 1:, 1] = np.outer(lam[0], Q[:, 2]) - np.outer(lam[2], Q[:, 0])
-    out[:, 1:, 2] = np.outer(lam[1], Q[:, 0]) - np.outer(lam[0], Q[:, 1])
-    return out.reshape(-1, 12)
+                      reference_embedded_rows(x, fz, lamz)), i
 
 
 def test_embedded_rows_match_outer_product_reference():
-    # the same products and sums in the same order as np.outer's: equal bit
-    # for bit; against the column layout, the rotation rows are equal bit for
-    # bit and the translation rows, one matmul on Q^T's other memory order,
-    # close to rounding; for the frame pieces and their z-derivatives as
-    # built, and for arbitrary (f, L) of every grid size from 1 to 130
+    # _rigid_rates broadcast over a grid, as the callbacks run it: the
+    # rotation rows take np.outer's products and differences in the same
+    # order, equal bit for bit, and so do the column layout's; the
+    # translation rows sum left to right where both references take one
+    # matmul, close to rounding; for the frame pieces and their
+    # z-derivatives as built, and for arbitrary (f, L) of every grid size
+    # from 1 to 130
     rng = np.random.default_rng(33)
     for i in range(260):
         m = 1 + i % 130
@@ -506,11 +509,14 @@ def test_embedded_rows_match_outer_product_reference():
             f, lam = rng.normal(size=(3, m)), rng.normal(size=(3, m))
         else:
             z, sigma = float(rng.normal(0.0, 3.0)), float(rng.uniform(-50.0, 50.0))
-            pieces = seek3d._embedded_frame_dz if i % 4 else seek3d._embedded_frame
-            f, lam = pieces(z, sigma, rng.uniform(-20.0, 20.0, m), float(rng.uniform(0.05, 2.0)))
-        got = seek3d._embedded_rows(x, f, lam)
+            pieces = seek3d._embedded_frame_dz if i % 4 else partial(seek3d._frame_vectors, np)
+            f, lam = map(np.array, pieces(z, sigma, rng.uniform(-20.0, 20.0, m),
+                                          float(rng.uniform(0.05, 2.0))))
+        got = np.array(seek3d._rigid_rates(x[3:12], f, lam)).T
         assert got.shape == (m, 12)
-        assert np.array_equal(got, reference_embedded_rows(x, f, lam)), i
+        ref = reference_embedded_rows(x, f, lam)
+        assert np.array_equal(got[:, 3:], ref[:, 3:]), i
+        assert _close(got[:, 0:3], ref[:, 0:3]), i
         want = columns.values_to_rows(columns.embedded_rows(x[columns.COLUMNS], f, lam))
         assert np.array_equal(got[:, 3:], want[:, 3:]), i
         assert _close(got[:, 0:3], want[:, 0:3]), i
@@ -542,7 +548,7 @@ def test_embedded_callbacks_match_column_oracle(kind):
             assert _close(np.array(f1.func(state, [z], t, sigma, tau)), want), i
             assert _close(np.array(reduced.func(state, t, sigma, tau)), want), i
 
-        f, lam = seek3d._embedded_frame(z, sigma, taus, params.alpha)
+        f, lam = map(np.array, seek3d._frame_vectors(np, z, sigma, taus, params.alpha))
         fz, lamz = seek3d._embedded_frame_dz(z, sigma, taus, params.alpha)
         rows_c = columns.embedded_rows(xc, f, lam)
         jac_x_c = columns.jac_x(f, lam)
@@ -558,8 +564,9 @@ def test_embedded_callbacks_match_column_oracle(kind):
 
 def test_embedded_float_kernel_matches_array_rows():
     # embedded_field.func on a list state at scalar tau runs _rigid_rates;
-    # the broadcast array rows at the same tau are its oracle, with z on the
-    # slow manifold of each field, as the sweep evaluates it
+    # the np.outer rows of the four-piece frame at the same tau are its
+    # oracle, with z on the slow manifold of each field, as the sweep
+    # evaluates it
     rng = np.random.default_rng(33)
     for kind in ("static", "orbit"):
         field = signal_field(kind)
@@ -571,8 +578,8 @@ def test_embedded_float_kernel_matches_array_rows():
             sigma = float(rng.uniform(-50.0, 50.0))
             tau = float(rng.uniform(-20.0, 20.0))
             z = field.strength(x[0:3], t)
-            f, lam = seek3d._embedded_frame(z, sigma, np.array([tau]), params.alpha)
-            want = seek3d._embedded_rows(x, f, lam)[0]
+            f, _, lam, _ = reference_embedded_pieces(z, sigma, np.array([tau]), params.alpha)
+            want = reference_embedded_rows(x, f, lam)[0]
             got = embedded_field(params).func(x.tolist(), np.array([z]), t, sigma, tau)
             assert type(got) is list and all(type(v) is float for v in got), (kind, i)
             assert _close(np.array(got), want), (kind, i)
