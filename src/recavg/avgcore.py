@@ -11,13 +11,11 @@ quadrature: the fast-time bracket term
 
 plus the plain mean of f2 with prefactor 1 / (T1 T2). The integrands are
 smooth and periodic, so each integral is the plain mean over n equispaced
-nodes per period (the periodic trapezoid rule). The bracket term is taken by
-parts, as the mean of J ((P - P^T) f1) with J = D f1 and P the spectral
-antiderivative int_0^tau: one skew matrix per pass on small grids, two FFTs
-per sigma node on large ones. The Lie bracket convention is
-[u, v] = (Dv) u - (Du) v; it and the 1/2 prefactor on the bracket term are
-pinned by closed-form oracles in the test suite (sin/cos fields, the
-rigid-body gain matrix, random trigonometric linear systems).
+nodes per period (the periodic trapezoid rule), refined by average_fields,
+with the bracket term taken by parts (_averaged_value). The Lie bracket
+convention is [u, v] = (Dv) u - (Du) v; it and the 1/2 prefactor on the
+bracket term are pinned by closed-form oracles in the test suite (sin/cos
+fields, the rigid-body gain matrix, random trigonometric linear systems).
 
 A singularly perturbed variant carries a fast filter state z with
 mu * dz/dt = g(x, z); its reduced counterpart substitutes the
@@ -37,9 +35,11 @@ from .odeint import IntegratorSettings, Trajectory, _plan_steps, integrate
 _CHECK_SEED = 20260810
 _ASSUMPTION_TOL = 1e-7
 _PERIODICITY_TOL = 1e-9
-# the bracket goes through the skew matrix on tau grids up to this size: a pass
-# took 0.6-0.9x the FFT form's time up to 512 nodes, and 1.4x at 1,024
-_SKEW_MAX_NODES = 512
+# the golden-ratio fraction: no multiple of it is whole, so an offset by it moves any alias
+_NODE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
+# the bracket takes the skew matrix on tau grids up to this size: an embedded pass (2-core
+# host) took 0.76-0.89x the FFT form's time to 128 nodes, 1.02x at 256, 1.12x at 512
+_SKEW_MAX_NODES = 256
 
 
 class QuadratureError(RuntimeError):
@@ -48,11 +48,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Even periodic-grid node count per period, doubled per refinement, and the stop rule."""
+    """First pass's even node count per period, doubled per refinement, and the stop rule."""
 
-    base_panels: int = 64
+    base_panels: int = 8
     tol: float = 1e-9
-    max_refinements: int = 4
+    max_refinements: int = 7
 
     def __post_init__(self):
         n = self.base_panels
@@ -271,13 +271,19 @@ def _check_periodicity(f: TwoScaleField, rng, n_points=16, tol=_PERIODICITY_TOL)
 
 
 def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
-    """Mean of f over one tau-period must vanish (zero-mean oscillation)."""
-    taus = _periodic_nodes(64, f.T2)
+    """f's tau-mean must vanish, read on the first default grid where _tau_mean settles."""
+    quad = QuadratureSettings()
+    ladder = [quad.base_panels << k for k in range(quad.max_refinements + 1)]
     for _ in range(n_points):
         x = np.array([rng.gauss(0.0, 1.0) for _ in range(f.dim)])
         t = rng.gauss(0.0, 1.0)
         sigma = rng.uniform(0.0, f.T1)
-        mean = f.eval_grid(x, t, sigma, taus).mean(axis=0)
+        for n in ladder:
+            mean = _tau_mean(f, x, t, sigma, n, tol)
+            if mean is not None:
+                break
+        else:
+            raise ValueError(f"f1's tau-mean at a sampled point still moves on {n} nodes")
         if np.abs(mean).max() > tol:
             raise ValueError(
                 "f1 has nonzero tau-mean at a sampled point "
@@ -288,9 +294,17 @@ def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
 # ---------------------------------------------------------------------------
 # quadrature primitives
 
-def _periodic_nodes(n: int, length: float) -> np.ndarray:
-    """n equispaced nodes of the periodic trapezoid rule on [0, length)."""
-    return np.arange(n) * (length / n)
+def _periodic_nodes(n: int, length: float, offset: float = 0.0) -> np.ndarray:
+    """n equispaced nodes of the periodic trapezoid rule on [0, length), offset spacings on."""
+    return (np.arange(n) + offset) * (length / n)
+
+
+def _tau_mean(f: TwoScaleField, x, t, sigma, n: int, tol):
+    """f's tau-mean on the n-node grid, or None when it moves by more than tol on the grid
+    _NODE_OFFSET spacings on (one call): an aliased harmonic moves it, a true mean not."""
+    taus = np.add.outer((0.0, _NODE_OFFSET), np.arange(n)).ravel() * (f.T2 / n)
+    plain, offset = np.add.reduce(f.eval_grid(x, t, sigma, taus).reshape(2, n, f.dim), axis=1)
+    return plain / n if np.abs(offset - plain).max() <= tol * n else None
 
 
 def _periodic_antiderivative(values, length: float) -> np.ndarray:
@@ -307,33 +321,17 @@ def _periodic_antiderivative(values, length: float) -> np.ndarray:
     return anti - anti[0] + _periodic_nodes(n, length).reshape(column) * values.mean(axis=0)
 
 
-def _antiderivative_to_end(values, length: float) -> np.ndarray:
-    """int_tau^T along axis 0 on the grid: P^T v = mean(P u) - P u + mean(tau v)
-    for P = _periodic_antiderivative and u = v less its sum at the first node."""
-    first = values.copy()
-    first[0] -= values.sum(axis=0)
-    anti = _periodic_antiderivative(first, length)
-    ramp = _periodic_nodes(values.shape[0], length).reshape((-1,) + (1,) * (values.ndim - 1))
-    return anti.mean(axis=0) - anti + (ramp * values).mean(axis=0)
-
-
-def _bracket_skew(n: int, length: float) -> np.ndarray:
-    """P - P^T for P = _periodic_antiderivative as an n x n matrix: column j
-    of P is q = P e_0 - tau / n shifted down by j, less the shifted column's
-    first entry, plus tau / n: one antiderivative and a strided view build it."""
-    ramp = _periodic_nodes(n, length) / n
-    q = _periodic_antiderivative(np.eye(1, n)[0], length) - ramp
-    circulant = np.lib.stride_tricks.sliding_window_view(np.concatenate((q[1:], q)), n)[:, ::-1]
-    anti = circulant - circulant[0] + ramp[:, None]
-    return anti - anti.T
-
-
 def _by_parts_factor(n: int, length: float, sigma_nodes: int) -> Callable:
-    """(P - P^T) as a map of f1's values on the tau grid: the skew matrix for
-    many sigma nodes on a small grid, two FFT antiderivatives otherwise."""
+    """(P - P^T) v, P = _periodic_antiderivative: column j of P is q = p - tau / n
+    (p = P e_0) shifted down by j, less its first entry, plus tau / n. Many sigma nodes on
+    a small grid take P - P^T from q and a strided view; else 2 P v - p sum(v) - 1 (p . v)."""
+    ramp, p = _periodic_nodes(n, length) / n, _periodic_antiderivative(np.eye(1, n)[0], length)
     if sigma_nodes > 1 and n <= _SKEW_MAX_NODES:
-        return _bracket_skew(n, length).__matmul__
-    return lambda vals: _periodic_antiderivative(vals, length) - _antiderivative_to_end(vals, length)
+        q = p - ramp
+        circulant = np.lib.stride_tricks.sliding_window_view(np.concatenate((q[1:], q)), n)[:, ::-1]
+        anti = circulant - circulant[0] + ramp[:, None]
+        return (anti - anti.T).__matmul__
+    return lambda v: 2.0 * _periodic_antiderivative(v, length) - np.outer(p, v.sum(axis=0)) - p @ v
 
 
 def fd_jacobian(func, x) -> np.ndarray:
@@ -362,19 +360,24 @@ def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
     return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
 
 
+def _sigma_nodes(sys: TwoScaleSystem, n: int):
+    """An n x n pass's sigma nodes, _NODE_OFFSET spacings on, so that the n and 2n
+    passes alias a sigma harmonic differently; one when no field depends on sigma."""
+    depends = sys.f1.depends_sigma or sys.f2.depends_sigma
+    return _periodic_nodes(n, sys.f1.T1, _NODE_OFFSET) if depends else [0.0]
+
+
 def _averaged_value(sys: TwoScaleSystem, x, t, n):
     """One pass of the averaged drift at (x, t) on an n x n periodic grid.
 
     The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
     antiderivative int_0^tau and G = P f1, is taken by parts: the tau-sum
     of (P J) f1 equals that of J (P^T f1), so it sums as J ((P - P^T) f1).
-    When neither field depends on sigma, one sigma node is exact.
     """
     f1, f2 = sys.f1, sys.f2
     taus = _periodic_nodes(n, f1.T2)
-    sigmas = _periodic_nodes(n, f1.T1) if f1.depends_sigma or f2.depends_sigma else [0.0]
+    sigmas = _sigma_nodes(sys, n)
     by_parts = _by_parts_factor(n, f1.T2, len(sigmas))
-    x = np.asarray(x, dtype=float)
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
     for sig in sigmas:
@@ -392,22 +395,25 @@ def average_fields(
     """Averaged drift of a two-timescale system, by refined double quadrature:
     a callable (x, t) -> dx/dt that returns an array of dim floats.
 
-    Every evaluation re-quadratures from scratch, doubling the nodes per
-    period until two successive results agree within settings.tol. The
-    bracket sign and the 1/2-prefactor placement are fixed: the closed-form
-    oracles pin them, and runner.verify shows what breaking either does.
+    Every evaluation re-quadratures from scratch, doubling the nodes per period until
+    the n- and 2n-node results agree within settings.tol and f1's and f2's tau-means
+    settle (_tau_mean) at the n-node sigma nodes, as the bracket cannot see a harmonic
+    aliased onto f1's mean. max_refinements = 0 returns the first pass unchecked.
     """
 
     def func(x, t):
-        prev = _averaged_value(sys, x, t, settings.base_panels)
+        x, n = np.asarray(x, dtype=float), settings.base_panels
+        prev = _averaged_value(sys, x, t, n)
         if settings.max_refinements == 0:
             return prev
-        for level in range(1, settings.max_refinements + 1):
-            nodes = settings.base_panels * (2**level)
-            cur = _averaged_value(sys, x, t, nodes)
-            if np.abs(cur - prev).max() <= settings.tol:
+        for _ in range(settings.max_refinements):
+            cur = _averaged_value(sys, x, t, 2 * n)
+            if np.abs(cur - prev).max() <= settings.tol and all(
+                _tau_mean(f, x, t, sig, n, settings.tol) is not None
+                for sig in _sigma_nodes(sys, n) for f in (sys.f1, sys.f2)
+            ):
                 return cur
-            prev = cur
+            n, prev = 2 * n, cur
         raise QuadratureError(
             f"quadrature did not converge to {settings.tol:g} within "
             f"{settings.max_refinements} refinements"
@@ -476,10 +482,6 @@ def _two_scale_rhs(sys: TwoScaleSystem, t0: float):
     The fast phases are sigma = sqrt(w) (t - t0) and tau = w (t - t0); the
     slow-time argument stays absolute. Anchoring makes runs of fields with
     no explicit t-dependence invariant under shifting t0.
-
-    An f2 built by zero_field is never called. The RHS answers a list of
-    floats when f1 answers one and f2 is zero, so odeint runs its float
-    loop, as for simulate_singular; otherwise it answers an array.
     """
     sqw = math.sqrt(sys.omega)
     w = sys.omega
@@ -616,9 +618,6 @@ def convergence_study(
     re-quadrature at every reference step. A singular system is studied as
     reduce_to_slow_manifold(ssys), the hypothesis class of the averaging
     error bound.
-
-    The omegas run one after another, each on the step of simulate_two_scale;
-    the largest one's step plan is checked before any run.
     """
     omegas = [float(w) for w in omegas]
     if len(omegas) < 3:

@@ -37,6 +37,7 @@ class VerificationReport:
     def lines(self):
         status = "PASS" if self.passed else "FAIL"
         out = [
+            f"gain matrix A, row-major : {' '.join(map(repr, self.a_matrix.ravel().tolist()))}",
             f"gain matrix error        : {self.a_error:.3e} (tol {A_TOL:g})",
             f"rotation-block residual  : {self.rotation_residual:.3e} (tol {ROT_TOL:g})",
             f"sin/cos oracle error     : {self.sincos_error:.3e} (tol {SINCOS_TOL:g})",

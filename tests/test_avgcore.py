@@ -11,6 +11,7 @@ The two closed forms doing the heavy lifting:
 import itertools
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,11 @@ from recavg.avgcore import (
     TwoScaleField,
     TwoScaleSystem,
     _SKEW_MAX_NODES,
-    _antiderivative_to_end,
     _averaged_value,
-    _bracket_skew,
     _by_parts_factor,
     _field_and_jac_on_grid,
     _periodic_antiderivative,
+    _sigma_nodes,
     _zero_values,
     average_fields,
     convergence_study,
@@ -264,6 +264,54 @@ def test_nonzero_mean_f1_rejected():
         TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
 
 
+def harmonic_system(k, ks=0, validate=False):
+    """(1 + cos(ks sigma)) (sin(k tau) B1 x + cos(k tau) B2 x) and its averaged
+    drift -m [B1, B2] x / (2 k), with m = 3/2 the sigma mean of
+    (1 + cos(ks sigma))^2; ks = 0 drops the sigma factor, and m = 1.
+
+    Its tau-mean is zero, but on an n-node grid with n dividing k the cos
+    term folds onto the mean as B2 x.
+    """
+    amp = (lambda s: 1.0 + math.cos(ks * s)) if ks else (lambda s: 1.0)
+
+    def jac(x, t, sigma, tau):
+        taus = np.atleast_1d(tau)
+        return amp(sigma) * (np.multiply.outer(np.sin(k * taus), B1)
+                             + np.multiply.outer(np.cos(k * taus), B2))
+
+    def func(x, t, sigma, tau):
+        out = jac(x, t, sigma, tau) @ np.asarray(x)
+        return out[0] if np.ndim(tau) == 0 else out
+
+    f1 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=ks > 0)
+    system = TwoScaleSystem(f1=f1, f2=zero_field(2, TWO_PI, TWO_PI), omega=1.0, validate=validate)
+    return system, lambda x: -(1.5 if ks else 1.0) * (COMMUTATOR @ x) / (2 * k)
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_zero_mean_f1_with_harmonic_at_a_grid_size_accepted(k):
+    # a check on a fixed 64-node grid took B2 x for a tau-mean and refused these
+    system, _ = harmonic_system(k, validate=True)
+    assert system.validate
+
+
+def test_nonzero_mean_under_an_aliasing_harmonic_rejected():
+    # the mean settles on the grid where the harmonic stops moving it
+    system, _ = harmonic_system(64)
+    shifted = TwoScaleField(
+        dim=2, func=lambda x, t, s, tau: system.f1.func(x, t, s, tau) + np.array([1e-3, 0.0]),
+        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
+    )
+    with pytest.raises(ValueError, match=r"nonzero tau-mean .*\|mean\| = 1\.000e-03"):
+        TwoScaleSystem(f1=shifted, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
+
+
+def test_tau_mean_that_never_settles_rejected():
+    # a harmonic at a multiple of every grid of the ladder moves every mean
+    with pytest.raises(ValueError, match=r"tau-mean at a sampled point still moves on 1024 nodes"):
+        harmonic_system(2048, validate=True)
+
+
 def test_wrong_period_rejected():
     def func(x, t, sigma, tau):
         return np.array([math.sin(tau), 0.0])
@@ -285,15 +333,16 @@ def columns_per_node(x, t, sigma, tau):
 
 @pytest.mark.parametrize(
     "func, detail",
-    [(scalar_tau_only, "it raised TypeError"), (columns_per_node, r"got \(2, 64\)")],
+    [(scalar_tau_only, "it raised TypeError"), (columns_per_node, r"got \(2, 16\)")],
     ids=["raises", "wrong-shape"],
 )
 def test_grid_func_breaking_the_contract_names_it(func, detail):
     # both answer a scalar tau correctly, so the periodicity check passes and
-    # the zero-mean check's tau grid is the first to see the fault
+    # the zero-mean check's first tau grid, two 8-node grids joined, is the
+    # first to see the fault
     bad = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI)
     with pytest.raises(ValueError, match=r"func must accept a 1-D tau array and return "
-                                         r"shape \(64, 2\)") as info:
+                                         r"shape \(16, 2\)") as info:
         TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
     assert info.match(detail)
 
@@ -434,11 +483,12 @@ def two_antiderivative_value(sys, x, t, n):
     """The averaged drift on an n x n grid with the bracket taken as it stands.
 
     Both f1's values and its Jacobians get a spectral antiderivative; this is
-    the form the by-parts bracket replaced, kept as its oracle.
+    the form the by-parts bracket replaced, kept as its oracle. The sigma
+    nodes are the engine's.
     """
     f1, f2 = sys.f1, sys.f2
     taus = np.arange(n) * (f1.T2 / n)
-    sigmas = np.arange(n) * (f1.T1 / n) if f1.depends_sigma or f2.depends_sigma else [0.0]
+    sigmas = _sigma_nodes(sys, n)
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
     for sig in sigmas:
@@ -531,17 +581,18 @@ def test_by_parts_bracket_matches_two_antiderivative_form(make_sys, n, probe):
 
 @BRACKET_SYSTEMS
 def test_skew_matrix_matches_fft_by_parts_factor(make_sys, n, probe):
-    # the engine's skew matrix against its FFT form of (P - P^T) f1
+    # the engine's skew matrix, built from a circulant, against its FFT form,
+    # the one a pass with one sigma node takes
     sys = make_sys()
     f1 = sys.f1
     taus = np.arange(n) * (f1.T2 / n)
-    skew = _bracket_skew(n, f1.T2)
+    skew, fft_form = _by_parts_factor(n, f1.T2, 2)(np.eye(n)), _by_parts_factor(n, f1.T2, 1)
     rng = np.random.default_rng(n)
     for i in range(4):
         x, t = probe(rng), float(rng.normal())
         for sig in np.arange(0, n, 5) * (f1.T1 / n):
             vals = f1.eval_grid(x, t, sig, taus)
-            want = _periodic_antiderivative(vals, f1.T2) - _antiderivative_to_end(vals, f1.T2)
+            want = fft_form(vals)
             assert np.abs(skew @ vals - want).max() <= 1e-13 * np.abs(want).max(), (i, sig)
 
 
@@ -551,7 +602,7 @@ def switched_averaged_value(sys, x, t, n, sign, swap):
     output in place of switching its arithmetic."""
     f1, f2 = sys.f1, sys.f2
     taus = np.arange(n) * (f1.T2 / n)
-    sigmas = np.arange(n) * (f1.T1 / n) if f1.depends_sigma or f2.depends_sigma else [0.0]
+    sigmas = _sigma_nodes(sys, n)
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
     by_parts = _by_parts_factor(n, f1.T2, len(sigmas))
@@ -593,14 +644,15 @@ def test_verify_scaling_matches_switched_engine(which, n):
 # --- closed form of every term of the averaged drift ---------------------------
 
 
-def trig_linear_system(seed, harmonics, dim, T1, T2):
+def trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic=1):
     """f1 = M(sigma, tau) x and f2 = E(sigma, tau) x + d, with the averaged
     drift in closed form.
 
-    M = sum over k of cos(k W2 tau) C_k(sigma) + sin(k W2 tau) S_k(sigma),
-    each C_k, S_k = X0 + X1 cos(W1 sigma) + X2 sin(W1 sigma), for
-    W1 = 2 pi / T1 and W2 = 2 pi / T2. E = E0 + cos(W1 sigma + W2 tau) E1 +
-    sin(W2 tau) E2 and d = d0 + sin(W1 sigma) d1 depend on both phases. With
+    M = sum over k in harmonics of cos(k W2 tau) C_k(sigma) + sin(k W2 tau)
+    S_k(sigma), each C_k, S_k = X0 + X1 cos(j W1 sigma) + X2 sin(j W1 sigma)
+    for j = sigma_harmonic, W1 = 2 pi / T1 and W2 = 2 pi / T2.
+    E = E0 + cos(W1 sigma + W2 tau) E1 + sin(W2 tau) E2 and
+    d = d0 + sin(W1 sigma) d1 depend on both phases. With
     N = int_0^tau M, the engine's bracket [G, f1] is (M N - N M) x, whose tau
     mean is sum over k of (S_k C_k - C_k S_k) / (k W2); the sigma mean of a
     product of two such matrices is X0 Y0 + (X1 Y1 + X2 Y2) / 2. Returns the
@@ -610,13 +662,14 @@ def trig_linear_system(seed, harmonics, dim, T1, T2):
     """
     rng = np.random.default_rng(seed)
     w1, w2 = TWO_PI / T1, TWO_PI / T2
-    cos_c, sin_c = rng.normal(size=(2, harmonics, 3, dim, dim))
+    k = np.asarray(harmonics)
+    cos_c, sin_c = rng.normal(size=(2, k.size, 3, dim, dim))
     e0, e1, e2 = rng.normal(size=(3, dim, dim))
     d0, d1 = rng.normal(size=(2, dim))
-    k = np.arange(1, harmonics + 1)
 
     def matrices(sigma, tau):
-        s_terms = np.array([1.0, math.cos(w1 * sigma), math.sin(w1 * sigma)])
+        phase = sigma_harmonic * w1 * sigma
+        s_terms = np.array([1.0, math.cos(phase), math.sin(phase)])
         c_k, s_k = (np.einsum("j,kjab->kab", s_terms, coef) for coef in (cos_c, sin_c))
         phase = np.multiply.outer(np.atleast_1d(tau), k * w2)
         return np.einsum("mk,kab->mab", np.cos(phase), c_k) + np.einsum(
@@ -658,21 +711,27 @@ def trig_linear_system(seed, harmonics, dim, T1, T2):
 
 
 # measured: at most 1.64e-15 of the largest term, over 429 probes of 143
-# seeded draws of the strategy below
+# seeded draws of the strategy below without the aliasing harmonics, and at
+# most 2.44e-15 over 843 probes of 281 draws with them
 CLOSED_FORM_TOL = 5e-15
+# harmonics that alias onto the mean of one or more grids of the default
+# ladder, drawn next to the ones the first grid resolves
+ALIASING_HARMONICS = [8, 16, 24, 32]
 
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    harmonics=st.integers(1, 4),
+    harmonics=st.lists(st.sampled_from([1, 2, 3, 4] + ALIASING_HARMONICS),
+                       min_size=1, max_size=4, unique=True),
+    sigma_harmonic=st.sampled_from([1, 2] + ALIASING_HARMONICS[:2]),
     dim=st.integers(1, 4),
     T1=st.floats(0.5, 8.0),
     T2=st.floats(0.5, 8.0),
 )
-def test_averaged_drift_matches_closed_form(seed, harmonics, dim, T1, T2):
+def test_averaged_drift_matches_closed_form(seed, harmonics, sigma_harmonic, dim, T1, T2):
     assume(abs(T1 - T2) >= 0.25)
-    system, closed = trig_linear_system(seed, harmonics, dim, T1, T2)
+    system, closed = trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic)
     averaged = average_fields(system)
     rng = np.random.default_rng(seed)
     for _ in range(2):
@@ -685,7 +744,7 @@ def test_averaged_drift_matches_closed_form(seed, harmonics, dim, T1, T2):
 def test_closed_form_tells_engine_slips_apart(slip):
     # an engine that averaged sigma at one node, or halved the f2 mean,
     # would give the slipped drift, which lies far outside the bound
-    system, closed = trig_linear_system(0, harmonics=3, dim=3, T1=3.7, T2=2.0)
+    system, closed = trig_linear_system(0, harmonics=(1, 2, 3), dim=3, T1=3.7, T2=2.0)
     averaged = average_fields(system)
     rng = np.random.default_rng(1)
     for _ in range(4):
@@ -700,11 +759,57 @@ def test_closed_form_tells_engine_slips_apart(slip):
 def test_averaged_value_matches_closed_form_either_side_of_skew_cutoff(n):
     # a pass over many sigma nodes takes the skew matrix up to
     # _SKEW_MAX_NODES and the FFT form above it
-    system, closed = trig_linear_system(7, harmonics=2, dim=2, T1=3.7, T2=2.0)
+    system, closed = trig_linear_system(7, harmonics=(1, 2), dim=2, T1=3.7, T2=2.0)
     rng = np.random.default_rng(n)
     x = rng.normal(size=2)
     want, scale = closed(x)
     assert np.abs(_averaged_value(system, x, 0.3, n) - want).max() <= CLOSED_FORM_TOL * scale
+
+
+# --- the aliasing guard ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "k, ks, finest",
+    [
+        (8, 0, 64), (16, 0, 128), (24, 0, 128), (32, 0, 256), (64, 0, 512), (128, 0, 1024),
+        (2, 8, 64), (2, 16, 128), (2, 64, 512), (8, 1, 64), (128, 1, 1024),
+    ],
+    ids=[
+        "tau-8", "tau-16", "tau-24", "tau-32", "tau-64", "tau-128",
+        "sigma-8", "sigma-16", "sigma-64", "mixed-8-1", "mixed-128-1",
+    ],
+)
+def test_aliasing_harmonic_converges_to_closed_form(k, ks, finest):
+    # without the guard the ladder stops on a wrong answer with no error: from
+    # 8 nodes, in every case but sigma-8 (off by 3.1e-3 to 0.5 at this probe);
+    # from 64 then 128 nodes, in tau-64, tau-128 and mixed-128-1, where every
+    # grid reads 0. mixed-128-1 reaches 1,024 nodes with many sigma nodes, the
+    # FFT side of the skew cutoff
+    system, closed = harmonic_system(k, ks)
+    grids = []
+    jac = system.f1.jac
+    f1 = replace(system.f1, jac=lambda x, t, s, taus: grids.append(len(taus)) or jac(x, t, s, taus))
+    x = np.array([0.8, -0.5])
+    got = average_fields(replace(system, f1=f1))(x, 0.0)
+    assert np.abs(got - closed(x)).max() <= 1e-14
+    assert max(grids) == finest
+
+
+@pytest.mark.parametrize("k, ks", [(16, 0), (128, 0), (0, 16)], ids=["tau-16", "tau-128", "sigma-16"])
+def test_aliasing_harmonic_in_f2_converges_to_closed_form(k, ks):
+    # f2 = (cos(k tau) + sin(ks sigma)) d has mean zero in both phases; the
+    # guard reads f2's tau-means as well as f1's. Without it, tau-16 stops on
+    # d from 8 nodes, and the 64-then-128-node ladder stops on d for tau-128
+    d = np.array([0.6, -1.3])
+
+    def func(x, t, sigma, tau):
+        tau = np.asarray(tau)
+        return np.multiply.outer((np.cos(k * tau) if k else 0.0 * tau) + math.sin(ks * sigma), d)
+
+    f2 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=ks > 0)
+    x = np.array([0.8, -0.5])
+    got = average_fields(TwoScaleSystem(f1=sincos_field(), f2=f2, omega=1.0))(x, 0.0)
+    assert np.abs(got - expected_drift(x)).max() <= 1e-14
 
 
 # --- simulation wrappers ------------------------------------------------------

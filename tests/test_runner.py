@@ -24,6 +24,7 @@ from recavg.runner import (
 from recavg.runner.artifacts import read_csv, write_csv
 from recavg.runner.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from recavg.runner.svgplot import _Canvas, plot_lines
+from recavg.runner.verify import VerificationReport
 from recavg.seek3d import rora_drift
 
 
@@ -823,6 +824,16 @@ def test_verify_passes():
     assert report.rotation_residual <= 1e-8
     assert report.sincos_error <= 1e-8
     assert report.diagnosis == ""
+
+
+def test_verify_prints_each_entry_of_a_as_its_repr():
+    # the shortest repr that reads back to the same float: a last-bit change
+    # in any entry of A shows in the output
+    a = np.array([[0.75, 0.25, 0.0], [0.2500000000000001, 0.75, -1e-17], [0.0, 0.0, 0.5]])
+    report = VerificationReport(a, 1.1e-16, 0.0, 0.0, True, "")
+    assert report.lines()[0] == (
+        "gain matrix A, row-major : 0.75 0.25 0.0 0.2500000000000001 0.75 -1e-17 0.0 0.0 0.5"
+    )
 
 
 def test_verify_detects_flipped_bracket():
