@@ -26,6 +26,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,9 +38,12 @@ _ASSUMPTION_TOL = 1e-7
 _PERIODICITY_TOL = 1e-9
 # the golden-ratio fraction: no multiple of it is whole, so an offset by it moves any alias
 _NODE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
-# the bracket takes the skew matrix on tau grids up to this size: an embedded pass (2-core
-# host) took 0.76-0.89x the FFT form's time to 128 nodes, 1.02x at 256, 1.12x at 512
+# the bracket takes the skew matrix on tau grids up to this size: a whole embedded pass on
+# row stacks (2-core host) took 0.75-0.96x the FFT form's time to 256 nodes, 1.02-1.23x at 512
 _SKEW_MAX_NODES = 256
+# a pass's blocks of sigma rows hold at most this many points: a 12-dim Jacobian stack stays
+# under glibc's 128 KiB mmap threshold (at 1,024 points verify-gain's peak RSS read 1.05x)
+_BLOCK_POINTS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -68,15 +72,14 @@ class QuadratureSettings:
 class TwoScaleField:
     """Time-varying vector field f(x, t, sigma, tau) with declared periods.
 
-    func takes a scalar tau and returns dim values, or a 1-D tau array and
-    returns shape (len(tau), dim). At scalar tau, simulate_two_scale keeps
+    func takes scalar sigma and tau and returns dim values; on a grid, sigma
+    and tau are 1-D arrays of one length, a (sigma, tau) node per entry, and
+    it returns shape (len(tau), dim). At scalar tau, simulate_two_scale keeps
     odeint's rule: func gets the initial state as an array, then lists of
     floats if it answered a list and f2 is zero (the RK4 stages stay off
     numpy), else arrays. jac, the state Jacobian d f / d x, is called on
-    tau arrays only and returns shape (len(tau), dim, dim); when absent the
-    quadrature takes central differences. depends_sigma=False declares that
-    func ignores sigma, which lets the quadrature collapse the sigma
-    dimension exactly.
+    grids only and returns shape (len(tau), dim, dim); when absent the
+    quadrature takes central differences.
     """
 
     dim: int
@@ -84,7 +87,6 @@ class TwoScaleField:
     T1: float
     T2: float
     jac: Optional[Callable] = None
-    depends_sigma: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -92,17 +94,18 @@ class TwoScaleField:
         if self.T1 <= 0 or self.T2 <= 0:
             raise ValueError("periods T1, T2 must be positive")
 
-    def eval_grid(self, x, t, sigma, taus):
-        """Values on a tau grid, shape (len(taus), dim); else ValueError naming the contract."""
+    def eval_grid(self, x, t, sigmas, taus):
+        """Values on a grid, shape (len(taus), dim); else ValueError naming the contract."""
         try:
-            vals = np.asarray(self.func(x, t, sigma, taus), dtype=float)
+            vals = np.asarray(self.func(x, t, sigmas, taus), dtype=float)
             if vals.shape == (len(taus), self.dim):
                 return vals
             fault = f"got {vals.shape}"
         except (TypeError, ValueError, IndexError) as exc:
-            fault = f"on a tau array it raised {exc!r}"
+            fault = f"on arrays it raised {exc!r}"
         raise ValueError(
-            f"func must accept a 1-D tau array and return shape ({len(taus)}, {self.dim}); {fault}"
+            "func must accept 1-D sigma and tau arrays of one length and return shape "
+            f"({len(taus)}, {self.dim}); {fault}"
         )
 
 
@@ -111,15 +114,13 @@ def _zero_values(x, t, sigma, tau):
     return np.zeros(np.shape(tau) + (len(x),))
 
 
-def _zero_jacobians(x, t, sigma, taus):
+def _zero_jacobians(x, t, sigmas, taus):
     return np.zeros((len(taus), len(x), len(x)))
 
 
 def zero_field(dim: int, T1: float, T2: float) -> TwoScaleField:
     """The field that is zero at every (x, t, sigma, tau)."""
-    return TwoScaleField(
-        dim=dim, func=_zero_values, T1=T1, T2=T2, jac=_zero_jacobians, depends_sigma=False
-    )
+    return TwoScaleField(dim=dim, func=_zero_values, T1=T1, T2=T2, jac=_zero_jacobians)
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,15 @@ class TwoScaleSystem:
             _check_periodicity(self.f2, rng)
             _check_zero_mean(self.f1, rng)
 
-    @property
-    def dim(self) -> int:
-        return self.f1.dim
-
 
 @dataclass(frozen=True)
 class SingularField:
     """Vector field f(x, z, t, sigma, tau) with a fast-state argument z.
 
-    func keeps TwoScaleField's contract: dim values at a scalar tau, shape
-    (len(tau), dim) on a 1-D tau array. jac_x = d f / d x and
-    jac_z = d f / d z are called on tau arrays only and return shapes
-    (len(tau), dim, dim) and (len(tau), dim, fast_dim).
+    func keeps TwoScaleField's contract, at scalars and on grids. jac_x =
+    d f / d x and jac_z = d f / d z are called on grids only and return new
+    arrays of shapes (len(tau), dim, dim) and (len(tau), dim, fast_dim); the
+    slow-manifold reduction sums its Jacobian into jac_x's answer in place.
     """
 
     dim: int
@@ -166,7 +163,6 @@ class SingularField:
     T2: float
     jac_x: Optional[Callable] = None
     jac_z: Optional[Callable] = None
-    depends_sigma: bool = True
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ def _check_zero_mean(f: TwoScaleField, rng, n_points=16, tol=_ASSUMPTION_TOL):
         t = rng.gauss(0.0, 1.0)
         sigma = rng.uniform(0.0, f.T1)
         for n in ladder:
-            mean = _tau_mean(f, x, t, sigma, n, tol)
+            mean = _tau_mean(f, x, t, np.array([sigma]), n, tol)
             if mean is not None:
                 break
         else:
@@ -299,11 +295,12 @@ def _periodic_nodes(n: int, length: float, offset: float = 0.0) -> np.ndarray:
     return (np.arange(n) + offset) * (length / n)
 
 
-def _tau_mean(f: TwoScaleField, x, t, sigma, n: int, tol):
-    """f's tau-mean on the n-node grid, or None when it moves by more than tol on the grid
-    _NODE_OFFSET spacings on (one call): an aliased harmonic moves it, a true mean not."""
+def _tau_mean(f: TwoScaleField, x, t, sigmas, n: int, tol):
+    """f's n-node tau-means at sigmas, shape (len(sigmas), dim), or None when one moves by
+    more than tol on the grid _NODE_OFFSET spacings on (one call): an alias moves, a mean not."""
     taus = np.add.outer((0.0, _NODE_OFFSET), np.arange(n)).ravel() * (f.T2 / n)
-    plain, offset = np.add.reduce(f.eval_grid(x, t, sigma, taus).reshape(2, n, f.dim), axis=1)
+    vals = f.eval_grid(x, t, np.repeat(sigmas, 2 * n), np.tile(taus, len(sigmas)))
+    plain, offset = np.moveaxis(vals.reshape(len(sigmas), 2, n, f.dim).sum(axis=2), 1, 0)
     return plain / n if np.abs(offset - plain).max() <= tol * n else None
 
 
@@ -321,17 +318,23 @@ def _periodic_antiderivative(values, length: float) -> np.ndarray:
     return anti - anti[0] + _periodic_nodes(n, length).reshape(column) * values.mean(axis=0)
 
 
-def _by_parts_factor(n: int, length: float, sigma_nodes: int) -> Callable:
-    """(P - P^T) v, P = _periodic_antiderivative: column j of P is q = p - tau / n
-    (p = P e_0) shifted down by j, less its first entry, plus tau / n. Many sigma nodes on
-    a small grid take P - P^T from q and a strided view; else 2 P v - p sum(v) - 1 (p . v)."""
+def _by_parts_factor(n: int, length: float) -> Callable:
+    """(P - P^T) v along axis -2 of a (..., n, dim) stack, P = _periodic_antiderivative:
+    column j of P is q = p - tau / n (p = P e_0) shifted down by j, less its first entry,
+    plus tau / n. A small grid takes P - P^T from q and a strided view; a larger one
+    2 P v - p sum(v) - 1 (p . v), with P's FFTs along the stack's tau axis."""
     ramp, p = _periodic_nodes(n, length) / n, _periodic_antiderivative(np.eye(1, n)[0], length)
-    if sigma_nodes > 1 and n <= _SKEW_MAX_NODES:
+    if n <= _SKEW_MAX_NODES:
         q = p - ramp
         circulant = np.lib.stride_tricks.sliding_window_view(np.concatenate((q[1:], q)), n)[:, ::-1]
         anti = circulant - circulant[0] + ramp[:, None]
         return (anti - anti.T).__matmul__
-    return lambda v: 2.0 * _periodic_antiderivative(v, length) - np.outer(p, v.sum(axis=0)) - p @ v
+
+    def fft_form(v):
+        anti = np.moveaxis(_periodic_antiderivative(np.moveaxis(v, -2, 0), length), 0, -2)
+        return 2.0 * anti - p[:, None] * v.sum(axis=-2, keepdims=True) - (p @ v)[..., None, :]
+
+    return fft_form
 
 
 def fd_jacobian(func, x) -> np.ndarray:
@@ -352,23 +355,25 @@ def fd_jacobian(func, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the averaging quadrature
 
-def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigma, taus):
-    """Values and Jacobians of f on a tau grid, by analytic jac or central FD."""
-    vals = f.eval_grid(x, t, sigma, taus)
+def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigmas, taus):
+    """Values and Jacobians of f on a (sigma, tau) grid, by analytic jac or central FD."""
+    vals = f.eval_grid(x, t, sigmas, taus)
     if f.jac is not None:
-        return vals, np.asarray(f.jac(x, t, sigma, taus), dtype=float)
-    return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigma, taus), x)
+        return vals, np.asarray(f.jac(x, t, sigmas, taus), dtype=float)
+    return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigmas, taus), x)
 
 
-def _sigma_nodes(sys: TwoScaleSystem, n: int):
-    """An n x n pass's sigma nodes, _NODE_OFFSET spacings on, so that the n and 2n
-    passes alias a sigma harmonic differently; one when no field depends on sigma."""
-    depends = sys.f1.depends_sigma or sys.f2.depends_sigma
-    return _periodic_nodes(n, sys.f1.T1, _NODE_OFFSET) if depends else [0.0]
+def _sigma_blocks(sys: TwoScaleSystem, n: int, row_points: int):
+    """An n x n pass's sigma nodes, _NODE_OFFSET spacings on so that the n and 2n passes
+    alias a sigma harmonic differently, in blocks of rows of row_points points each: at
+    most _BLOCK_POINTS points a block, or one row when a row alone is larger."""
+    sigmas, rows = _periodic_nodes(n, sys.f1.T1, _NODE_OFFSET), max(1, _BLOCK_POINTS // row_points)
+    return [sigmas[i:i + rows] for i in range(0, n, rows)]
 
 
-def _averaged_value(sys: TwoScaleSystem, x, t, n):
-    """One pass of the averaged drift at (x, t) on an n x n periodic grid.
+def _averaged_value(sys: TwoScaleSystem, x, t, n, by_parts):
+    """One pass of the averaged drift at (x, t) on an n x n periodic grid, with by_parts
+    _by_parts_factor(n, T2); one f1, jac and f2 call per block of sigma rows.
 
     The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
     antiderivative int_0^tau and G = P f1, is taken by parts: the tau-sum
@@ -376,15 +381,15 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n):
     """
     f1, f2 = sys.f1, sys.f2
     taus = _periodic_nodes(n, f1.T2)
-    sigmas = _sigma_nodes(sys, n)
-    by_parts = _by_parts_factor(n, f1.T2, len(sigmas))
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
-    for sig in sigmas:
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
-        bracket += np.einsum("mij,mj->i", jacs, by_parts(vals))
-        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
-    points = len(sigmas) * n
+    for block in _sigma_blocks(sys, n, n):
+        sigmas, grid = np.repeat(block, n), np.tile(taus, len(block))
+        vals, jacs = _field_and_jac_on_grid(f1, x, t, sigmas, grid)
+        skewed = by_parts(vals.reshape(len(block), n, f1.dim)).reshape(vals.shape)
+        bracket += np.einsum("mij,mj->i", jacs, skewed)
+        mean += f2.eval_grid(x, t, sigmas, grid).sum(axis=0)
+    points = n * n
     # times 1 / points, then halved: the rounding every pinned result was made with
     return bracket * (1 / points) / 2.0 + mean / points
 
@@ -398,19 +403,21 @@ def average_fields(
     Every evaluation re-quadratures from scratch, doubling the nodes per period until
     the n- and 2n-node results agree within settings.tol and f1's and f2's tau-means
     settle (_tau_mean) at the n-node sigma nodes, as the bracket cannot see a harmonic
-    aliased onto f1's mean. max_refinements = 0 returns the first pass unchecked.
+    aliased onto f1's mean. max_refinements = 0 returns the first pass unchecked. Passes
+    evaluate blocks of sigma rows (_sigma_blocks); the callable keeps each level's by_parts.
     """
+    by_parts = cache(lambda n: _by_parts_factor(n, sys.f1.T2))
 
     def func(x, t):
         x, n = np.asarray(x, dtype=float), settings.base_panels
-        prev = _averaged_value(sys, x, t, n)
+        prev = _averaged_value(sys, x, t, n, by_parts(n))
         if settings.max_refinements == 0:
             return prev
         for _ in range(settings.max_refinements):
-            cur = _averaged_value(sys, x, t, 2 * n)
+            cur = _averaged_value(sys, x, t, 2 * n, by_parts(2 * n))
             if np.abs(cur - prev).max() <= settings.tol and all(
-                _tau_mean(f, x, t, sig, n, settings.tol) is not None
-                for sig in _sigma_nodes(sys, n) for f in (sys.f1, sys.f2)
+                _tau_mean(f, x, t, block, n, settings.tol) is not None
+                for block in _sigma_blocks(sys, n, 2 * n) for f in (sys.f1, sys.f2)
             ):
                 return cur
             n, prev = 2 * n, cur
@@ -437,21 +444,15 @@ def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoS
         jac = None
         if sf.jac_x is not None and sf.jac_z is not None and ssys.phi_jac is not None:
 
-            def jac(x, t, sigma, taus):
+            def jac(x, t, sigmas, taus):
                 z = ssys.phi(x, t)
-                jx = np.asarray(sf.jac_x(x, z, t, sigma, taus))
-                jz = np.asarray(sf.jac_z(x, z, t, sigma, taus))
+                jx = np.asarray(sf.jac_x(x, z, t, sigmas, taus), dtype=float)
+                jz = np.asarray(sf.jac_z(x, z, t, sigmas, taus))
                 dphi = np.asarray(ssys.phi_jac(x, t)).reshape(sf.fast_dim, sf.dim)
-                return jx + np.einsum("tnm,mk->tnk", jz, dphi)
+                jx += np.einsum("tnm,mk->tnk", jz, dphi)
+                return jx
 
-        return TwoScaleField(
-            dim=sf.dim,
-            func=func,
-            T1=sf.T1,
-            T2=sf.T2,
-            jac=jac,
-            depends_sigma=sf.depends_sigma,
-        )
+        return TwoScaleField(dim=sf.dim, func=func, T1=sf.T1, T2=sf.T2, jac=jac)
 
     if ssys.f2 is None:
         f2 = zero_field(ssys.dim, ssys.f1.T1, ssys.f1.T2)

@@ -66,9 +66,7 @@ def sincos_test_system() -> TwoScaleSystem:
     def jac1(x, t, sigma, taus):
         return np.sin(taus)[:, None, None] * _B1 + np.cos(taus)[:, None, None] * _B2
 
-    field1 = TwoScaleField(
-        dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi, jac=jac1, depends_sigma=False
-    )
+    field1 = TwoScaleField(dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi, jac=jac1)
     field2 = avgcore.zero_field(2, 2 * math.pi, 2 * math.pi)
     return TwoScaleSystem(f1=field1, f2=field2, omega=400.0)
 

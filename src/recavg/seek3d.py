@@ -211,16 +211,17 @@ def _turn_in_plane(c, s, u, v):
     return c * u + h, c * v + h, (v - u) * (s / _SQRT2)
 
 
-def _frame_vectors(trig, z: float, sigma: float, tau, alpha: float):
+def _frame_vectors(trig, z: float, sigma, tau, alpha: float):
     """The vectors f and L of transformed_rhs as two 3-tuples.
 
     f = sqrt(2) R2(sigma) R1(tau, z) e1 and
     L = alpha R2(sigma) exp(2 (tau - z) hat(e3)) (e1 - e2). trig is the
-    module whose cos and sin take tau - z: math for a scalar tau, numpy for
-    a tau grid, whose components come back as arrays of the grid's shape.
+    module whose cos and sin take sigma and tau - z: math for scalars, numpy
+    for a (sigma, tau) grid, whose components come back as arrays of the
+    grid's shape.
     """
     th = _SQRT2 * alpha * sigma
-    c, s = math.cos(th), math.sin(th)
+    c, s = trig.cos(th), trig.sin(th)
     phi = tau - z
     f = _turn_in_plane(c, s, _SQRT2 * trig.cos(phi), _SQRT2 * trig.sin(phi))
     c2, s2 = trig.cos(2.0 * phi), trig.sin(2.0 * phi)
@@ -297,15 +298,15 @@ def _rora_rates(p, q, t, field) -> list:
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
-def _embedded_frame_dz(z: float, sigma: float, taus, alpha: float):
-    """d f/dz and d L/dz on a tau grid, both of shape (3, len(taus)).
+def _embedded_frame_dz(z: float, sigmas, taus, alpha: float):
+    """d f/dz and d L/dz on a (sigma, tau) grid, both of shape (3, len(taus)).
 
     The heading and the roll axis turn about e3 at angle rates 1 and 2 in
     tau - z, so their z-derivatives are -hat(e3) and -2 hat(e3) applied to
     f and L, again in-plane vectors.
     """
-    th = _SQRT2 * alpha * sigma
-    c, s = math.cos(th), math.sin(th)
+    th = _SQRT2 * alpha * np.asarray(sigmas)
+    c, s = np.cos(th), np.sin(th)
     phi = np.asarray(taus) - z
     c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
     fz = np.array(_turn_in_plane(c, s, _SQRT2 * np.sin(phi), -_SQRT2 * np.cos(phi)))
@@ -323,11 +324,11 @@ def embedded_field(params: SeekParams) -> SingularField:
     of the rotation rows.
 
     The callbacks keep SingularField's contract, and each runs the scalar
-    kernels: func picks the trig module by tau, and a tau array gets
+    kernels: func picks the trig module by tau, and a (sigma, tau) grid gets
     _rigid_rates broadcast over the grid, rows of shape (len(tau), 12),
     while a scalar tau gets its 12 floats as a list, for a state given as a
-    list of floats or as an array. jac_x and jac_z take tau arrays only;
-    jac_z is the same linear map of the z-derivatives of f and L.
+    list of floats or as an array. jac_x and jac_z take grids only; jac_z is
+    the same linear map of the z-derivatives of f and L.
     """
     alpha, ndarray = params.alpha, np.ndarray
 
@@ -338,18 +339,19 @@ def embedded_field(params: SeekParams) -> SingularField:
             return np.array(_rigid_rates(x[3:12], *_frame_vectors(np, z[0], sigma, tau, alpha))).T
         return _rigid_rates(x[3:12], *_frame_vectors(math, z[0], sigma, tau, alpha))
 
-    def jac_x(x, z, t, sigma, taus):
-        f, (l0, l1, l2) = _frame_vectors(np, z[0], sigma, taus, alpha)
-        f_t, zero = np.transpose(f), np.zeros_like(l0)
-        minus_hat = np.moveaxis(np.array([[zero, l2, -l1], [-l2, zero, l0], [l1, -l0, zero]]), 2, 0)
+    def jac_x(x, z, t, sigmas, taus):
+        f, (l0, l1, l2) = _frame_vectors(np, z[0], sigmas, taus, alpha)
+        entries = ((0, 1, l2), (0, 2, -l1), (1, 0, -l2), (1, 2, l0), (2, 0, l1), (2, 1, -l0))
         jac = np.zeros((len(taus), 4, 3, 4, 3))
         for i in range(3):
-            jac[:, 0, i, 1 + i] = f_t
-            jac[:, 1 + i, :, 1 + i] = minus_hat
+            for j in range(3):
+                jac[:, 0, i, 1 + i, j] = f[j]
+            for a, b, value in entries:  # -hat(L) on the diagonal of the rotation rows
+                jac[:, 1 + i, a, 1 + i, b] = value
         return jac.reshape(-1, EMBEDDED_DIM, EMBEDDED_DIM)
 
-    def jac_z(x, z, t, sigma, taus):
-        fz, lamz = _embedded_frame_dz(z[0], sigma, taus, alpha)
+    def jac_z(x, z, t, sigmas, taus):
+        fz, lamz = _embedded_frame_dz(z[0], sigmas, taus, alpha)
         return np.array(_rigid_rates(x[3:12], fz, lamz)).T[:, :, None]
 
     return SingularField(
@@ -360,7 +362,6 @@ def embedded_field(params: SeekParams) -> SingularField:
         T2=params.tau_period,
         jac_x=jac_x,
         jac_z=jac_z,
-        depends_sigma=True,
     )
 
 

@@ -28,12 +28,13 @@ from recavg.avgcore import (
     SingularSystem,
     TwoScaleField,
     TwoScaleSystem,
+    _BLOCK_POINTS,
     _SKEW_MAX_NODES,
     _averaged_value,
     _by_parts_factor,
     _field_and_jac_on_grid,
     _periodic_antiderivative,
-    _sigma_nodes,
+    _sigma_blocks,
     _zero_values,
     average_fields,
     convergence_study,
@@ -72,7 +73,7 @@ def sincos_field(with_jac=True):
         def jac(x, t, sigma, taus):
             return np.sin(taus)[:, None, None] * B1 + np.cos(taus)[:, None, None] * B2
 
-    return TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=False)
+    return TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
 
 
 def sincos_system(omega=400.0, with_jac=True):
@@ -94,7 +95,7 @@ def constant_test_field(value):
             return np.broadcast_to(vec, (len(tau), vec.size))
         return vec
 
-    return TwoScaleField(dim=vec.size, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=False)
+    return TwoScaleField(dim=vec.size, func=func, T1=TWO_PI, T2=TWO_PI)
 
 
 # --- lie_bracket ------------------------------------------------------------
@@ -218,22 +219,87 @@ def embedded_f1_at_fixed_z():
     ids=["embedded-f1", "reduced-embedded-f1", "sincos-f1", "zero"],
 )
 def test_shipped_fields_keep_the_field_contract(make_field):
-    # a scalar tau gives dim values, for a list state as for an array state;
-    # a tau grid gives one row per node, and jac one matrix per node
+    # scalar sigma and tau give dim values, for a list state as for an array
+    # state; a (sigma, tau) grid gives one row per node, and jac one matrix
+    # per node
     f = make_field()
     rng = np.random.default_rng(36)
     n = 7
     for _ in range(20):
         x = embedded_probe(rng) if f.dim == 12 else rng.normal(size=f.dim)
         t, sigma, tau = (float(v) for v in rng.uniform(0.0, 20.0, 3))
-        taus = rng.uniform(0.0, 20.0, n)
+        sigmas, taus = rng.uniform(0.0, 20.0, (2, n))
         from_list = f.func(x.tolist(), t, sigma, tau)
         from_array = f.func(x, t, sigma, tau)
         assert np.shape(from_list) == np.shape(from_array) == (f.dim,)
         # the same kernel answers both: equal floats, not merely close ones
         assert np.array_equal(np.asarray(from_array, float), np.asarray(from_list, float))
-        assert np.shape(f.func(x, t, sigma, taus)) == (n, f.dim)
-        assert np.shape(f.jac(x, t, sigma, taus)) == (n, f.dim, f.dim)
+        assert np.shape(f.func(x, t, sigmas, taus)) == (n, f.dim)
+        assert np.shape(f.jac(x, t, sigmas, taus)) == (n, f.dim, f.dim)
+
+
+def shipped_grid_callbacks():
+    """name -> (state dim, callback (x, t, sigma, tau), whether it answers scalars)."""
+    sf, z = seek3d.embedded_field(CONTRACT_PARAMS), np.array([-0.3])
+    reduced, sincos = reduced_embedded_system().f1, sincos_test_system().f1
+    zero = zero_field(3, TWO_PI, 3.0)
+    frozen = lambda callback: (lambda x, t, s, tau: callback(x, z, t, s, tau))
+    return {
+        "embedded-func": (12, frozen(sf.func), True),
+        "embedded-jac_x": (12, frozen(sf.jac_x), False),
+        "embedded-jac_z": (12, frozen(sf.jac_z), False),
+        "reduced-func": (12, reduced.func, True),
+        "reduced-jac": (12, reduced.jac, False),
+        "sincos-f1": (2, sincos.func, True),
+        "sincos-jac1": (2, sincos.jac, False),
+        "zero-func": (3, zero.func, True),
+        "zero-jac": (3, zero.jac, False),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "embedded-func", "embedded-jac_x", "embedded-jac_z", "reduced-func", "reduced-jac",
+    "sincos-f1", "sincos-jac1", "zero-func", "zero-jac",
+])
+def test_grid_callbacks_equal_their_per_node_calls(name):
+    # a flattened grid of 5 sigma rows by 7 tau nodes, row k of the answer
+    # against the callback at node k alone: at scalar sigma and tau where it
+    # answers them, else on a one-node grid
+    dim, callback, answers_scalars = shipped_grid_callbacks()[name]
+    rng = np.random.default_rng(37)
+    rows, n = 5, 7
+    for _ in range(4):
+        x = embedded_probe(rng) if dim == 12 else rng.normal(size=dim)
+        t = float(rng.uniform(0.0, 20.0))
+        sigmas = np.repeat(rng.uniform(0.0, 20.0, rows), n)
+        taus = np.tile(rng.uniform(0.0, 20.0, n), rows)
+        grid = np.asarray(callback(x, t, sigmas, taus))
+        assert grid.shape[0] == rows * n
+        for k in range(rows * n):
+            if answers_scalars:
+                node = callback(x, t, float(sigmas[k]), float(taus[k]))
+            else:
+                node = callback(x, t, sigmas[k:k + 1], taus[k:k + 1])[0]
+            node = np.asarray(node, dtype=float)
+            assert np.abs(grid[k] - node).max() <= 1e-14 * np.abs(node).max(), k
+
+
+def test_one_field_call_per_block_of_sigma_rows():
+    # an evaluation that stops at the 16-node pass: the 8-node pass is one
+    # block of 64 points, the 16-node pass 4 blocks of 4 sigma rows, the
+    # guard's 8 rows of 16 tau nodes 2 blocks; 448 points in 7 f1 calls, where
+    # one call per sigma node took 8 + 16 + 8 = 32
+    system = reduced_embedded_system()
+    func, grids = system.f1.func, []
+
+    def counted(x, t, s, tau):
+        if np.ndim(tau):
+            grids.append(len(tau))
+        return func(x, t, s, tau)
+
+    averaged = average_fields(replace(system, f1=replace(system.f1, func=counted)))
+    averaged(embedded_probe(np.random.default_rng(38)), 0.0)
+    assert grids == [_BLOCK_POINTS] * 7
 
 
 @pytest.mark.parametrize(
@@ -272,18 +338,17 @@ def harmonic_system(k, ks=0, validate=False):
     Its tau-mean is zero, but on an n-node grid with n dividing k the cos
     term folds onto the mean as B2 x.
     """
-    amp = (lambda s: 1.0 + math.cos(ks * s)) if ks else (lambda s: 1.0)
-
     def jac(x, t, sigma, tau):
         taus = np.atleast_1d(tau)
-        return amp(sigma) * (np.multiply.outer(np.sin(k * taus), B1)
-                             + np.multiply.outer(np.cos(k * taus), B2))
+        amp = (1.0 + np.cos(ks * np.asarray(sigma)))[..., None, None] if ks else 1.0
+        return amp * (np.multiply.outer(np.sin(k * taus), B1)
+                      + np.multiply.outer(np.cos(k * taus), B2))
 
     def func(x, t, sigma, tau):
         out = jac(x, t, sigma, tau) @ np.asarray(x)
         return out[0] if np.ndim(tau) == 0 else out
 
-    f1 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=ks > 0)
+    f1 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
     system = TwoScaleSystem(f1=f1, f2=zero_field(2, TWO_PI, TWO_PI), omega=1.0, validate=validate)
     return system, lambda x: -(1.5 if ks else 1.0) * (COMMUTATOR @ x) / (2 * k)
 
@@ -300,7 +365,7 @@ def test_nonzero_mean_under_an_aliasing_harmonic_rejected():
     system, _ = harmonic_system(64)
     shifted = TwoScaleField(
         dim=2, func=lambda x, t, s, tau: system.f1.func(x, t, s, tau) + np.array([1e-3, 0.0]),
-        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI,
     )
     with pytest.raises(ValueError, match=r"nonzero tau-mean .*\|mean\| = 1\.000e-03"):
         TwoScaleSystem(f1=shifted, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
@@ -338,11 +403,11 @@ def columns_per_node(x, t, sigma, tau):
 )
 def test_grid_func_breaking_the_contract_names_it(func, detail):
     # both answer a scalar tau correctly, so the periodicity check passes and
-    # the zero-mean check's first tau grid, two 8-node grids joined, is the
-    # first to see the fault
+    # the zero-mean check's first grid, one sigma row of two 8-node tau grids
+    # joined, is the first to see the fault
     bad = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI)
-    with pytest.raises(ValueError, match=r"func must accept a 1-D tau array and return "
-                                         r"shape \(16, 2\)") as info:
+    with pytest.raises(ValueError, match=r"func must accept 1-D sigma and tau arrays of one "
+                                         r"length and return shape \(16, 2\)") as info:
         TwoScaleSystem(f1=bad, f2=zero_field(2, TWO_PI, TWO_PI), omega=10.0)
     assert info.match(detail)
 
@@ -405,7 +470,7 @@ def test_state_independent_f1_averages_to_zero():
         return np.stack([np.sin(tau), np.cos(tau)], axis=1)
 
     sys = TwoScaleSystem(
-        f1=TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=False),
+        f1=TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI),
         f2=zero_field(2, TWO_PI, TWO_PI),
         omega=10.0,
     )
@@ -438,7 +503,7 @@ def exp_sin_system():
         a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
         return np.multiply.outer(a, B1) + np.multiply.outer(b, B2)
 
-    field = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac, depends_sigma=False)
+    field = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
     return TwoScaleSystem(f1=field, f2=zero_field(2, TWO_PI, TWO_PI), omega=400.0)
 
 
@@ -488,15 +553,16 @@ def two_antiderivative_value(sys, x, t, n):
     """
     f1, f2 = sys.f1, sys.f2
     taus = np.arange(n) * (f1.T2 / n)
-    sigmas = _sigma_nodes(sys, n)
+    sigmas = np.concatenate(_sigma_blocks(sys, n, n))
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
     for sig in sigmas:
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
+        row = np.full(n, sig)
+        vals, jacs = _field_and_jac_on_grid(f1, x, t, row, taus)
         anti = _periodic_antiderivative(vals, f1.T2)
         anti_jac = _periodic_antiderivative(jacs, f1.T2)
         bracket += np.einsum("mij,mj->i", jacs, anti) - np.einsum("mij,mj->i", anti_jac, vals)
-        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
+        mean += f2.eval_grid(x, t, row, taus).sum(axis=0)
     points = len(sigmas) * n
     return bracket / (2.0 * points) + mean / points
 
@@ -520,7 +586,7 @@ def random_linear_system(seed, degree, with_mean=False):
         osc = np.einsum("mk,kij->mij", np.cos(phase), cos_c) + np.einsum(
             "mk,kij->mij", np.sin(phase), sin_c
         )
-        out = (1.0 + 0.5 * math.cos(sigma)) * osc + b0
+        out = (1.0 + 0.5 * np.cos(sigma))[..., None, None] * osc + b0
         return out[0] if np.ndim(tau) == 0 else out
 
     def func(x, t, sigma, tau):
@@ -567,33 +633,44 @@ BRACKET_SYSTEMS = pytest.mark.parametrize(
 )
 
 
+def pass_value(sys, x, t, n):
+    """One n x n pass of the engine, with its by-parts factor."""
+    return _averaged_value(sys, x, t, n, _by_parts_factor(n, sys.f1.T2))
+
+
 @BRACKET_SYSTEMS
 def test_by_parts_bracket_matches_two_antiderivative_form(make_sys, n, probe):
+    # the n = 16 cases take 4 blocks of 4 sigma rows per pass, the n = 64
+    # cases 64 blocks of one row
     sys = make_sys()
     rng = np.random.default_rng(n)
     for i in range(50):
         x = probe(rng)
         t = float(rng.normal())
         want = two_antiderivative_value(sys, x, t, n)
-        got = _averaged_value(sys, x, t, n)
+        got = pass_value(sys, x, t, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), i
 
 
 @BRACKET_SYSTEMS
-def test_skew_matrix_matches_fft_by_parts_factor(make_sys, n, probe):
+def test_skew_matrix_matches_fft_by_parts_factor(make_sys, n, probe, monkeypatch):
     # the engine's skew matrix, built from a circulant, against its FFT form,
-    # the one a pass with one sigma node takes
+    # the one a grid above _SKEW_MAX_NODES takes, both on a stack of sigma rows
     sys = make_sys()
     f1 = sys.f1
-    taus = np.arange(n) * (f1.T2 / n)
-    skew, fft_form = _by_parts_factor(n, f1.T2, 2)(np.eye(n)), _by_parts_factor(n, f1.T2, 1)
+    skew = _by_parts_factor(n, f1.T2)(np.eye(n))
+    monkeypatch.setattr("recavg.avgcore._SKEW_MAX_NODES", 0)
+    fft_form = _by_parts_factor(n, f1.T2)
+    rows = np.arange(0, n, 5) * (f1.T1 / n)
+    sigmas, taus = np.repeat(rows, n), np.tile(np.arange(n) * (f1.T2 / n), rows.size)
     rng = np.random.default_rng(n)
     for i in range(4):
         x, t = probe(rng), float(rng.normal())
-        for sig in np.arange(0, n, 5) * (f1.T1 / n):
-            vals = f1.eval_grid(x, t, sig, taus)
-            want = fft_form(vals)
-            assert np.abs(skew @ vals - want).max() <= 1e-13 * np.abs(want).max(), (i, sig)
+        stack = f1.eval_grid(x, t, sigmas, taus).reshape(rows.size, n, f1.dim)
+        want = fft_form(stack)
+        assert np.abs(skew @ stack - want).max() <= 1e-13 * np.abs(want).max(), i
+        # a stack's rows are each transformed as they would be alone
+        assert np.array_equal(fft_form(stack[2]), want[2]), i
 
 
 def switched_averaged_value(sys, x, t, n, sign, swap):
@@ -602,15 +679,16 @@ def switched_averaged_value(sys, x, t, n, sign, swap):
     output in place of switching its arithmetic."""
     f1, f2 = sys.f1, sys.f2
     taus = np.arange(n) * (f1.T2 / n)
-    sigmas = _sigma_nodes(sys, n)
     bracket = np.zeros(f1.dim)
     mean = np.zeros(f1.dim)
-    by_parts = _by_parts_factor(n, f1.T2, len(sigmas))
-    for sig in sigmas:
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, sig, taus)
-        bracket += np.einsum("mij,mj->i", jacs, by_parts(vals))
-        mean += f2.eval_grid(x, t, sig, taus).sum(axis=0)
-    points = len(sigmas) * n
+    by_parts = _by_parts_factor(n, f1.T2)
+    for block in _sigma_blocks(sys, n, n):
+        sigmas, grid = np.repeat(block, n), np.tile(taus, len(block))
+        vals, jacs = _field_and_jac_on_grid(f1, x, t, sigmas, grid)
+        skewed = by_parts(vals.reshape(len(block), n, f1.dim)).reshape(vals.shape)
+        bracket += np.einsum("mij,mj->i", jacs, skewed)
+        mean += f2.eval_grid(x, t, sigmas, grid).sum(axis=0)
+    points = n * n
     bracket *= sign / points
     mean /= points
     if swap:
@@ -635,7 +713,7 @@ def test_verify_scaling_matches_switched_engine(which, n):
     rng = np.random.default_rng(n)
     for _ in range(4):
         x, t = probe(rng), float(rng.normal())
-        value = _averaged_value(sys, x, t, n)
+        value = pass_value(sys, x, t, n)
         for sign, swap in itertools.product((1, -1), (False, True)):
             want = switched_averaged_value(sys, x, t, n, sign, swap)
             assert np.array_equal(want, sign * (2 if swap else 1) * value), (sign, swap)
@@ -668,12 +746,13 @@ def trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic=1):
     d0, d1 = rng.normal(size=(2, dim))
 
     def matrices(sigma, tau):
-        phase = sigma_harmonic * w1 * sigma
-        s_terms = np.array([1.0, math.cos(phase), math.sin(phase)])
-        c_k, s_k = (np.einsum("j,kjab->kab", s_terms, coef) for coef in (cos_c, sin_c))
-        phase = np.multiply.outer(np.atleast_1d(tau), k * w2)
-        return np.einsum("mk,kab->mab", np.cos(phase), c_k) + np.einsum(
-            "mk,kab->mab", np.sin(phase), s_k
+        taus = np.atleast_1d(tau)
+        phase = sigma_harmonic * w1 * np.broadcast_to(sigma, taus.shape)
+        s_terms = np.array([np.ones_like(phase), np.cos(phase), np.sin(phase)])
+        c_k, s_k = (np.einsum("jm,kjab->mkab", s_terms, coef) for coef in (cos_c, sin_c))
+        phase = np.multiply.outer(taus, k * w2)
+        return np.einsum("mk,mkab->mab", np.cos(phase), c_k) + np.einsum(
+            "mk,mkab->mab", np.sin(phase), s_k
         )
 
     def scalar_or_grid(tau, out):
@@ -687,8 +766,10 @@ def trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic=1):
 
     def f2(x, t, sigma, tau):
         column = np.atleast_1d(tau)[:, None, None]
-        e = e0 + np.cos(w1 * sigma + w2 * column) * e1 + np.sin(w2 * column) * e2
-        return scalar_or_grid(tau, e @ np.asarray(x) + d0 + math.sin(w1 * sigma) * d1)
+        sig = np.asarray(sigma)[..., None, None]
+        e = e0 + np.cos(w1 * sig + w2 * column) * e1 + np.sin(w2 * column) * e2
+        d = d0 + np.sin(w1 * sig[..., 0]) * d1
+        return scalar_or_grid(tau, e @ np.asarray(x) + d)
 
     system = TwoScaleSystem(
         f1=TwoScaleField(dim=dim, func=f1, T1=T1, T2=T2, jac=f1_jac),
@@ -757,13 +838,13 @@ def test_closed_form_tells_engine_slips_apart(slip):
 
 @pytest.mark.parametrize("n", [_SKEW_MAX_NODES, 2 * _SKEW_MAX_NODES], ids=["skew-matrix", "fft"])
 def test_averaged_value_matches_closed_form_either_side_of_skew_cutoff(n):
-    # a pass over many sigma nodes takes the skew matrix up to
-    # _SKEW_MAX_NODES and the FFT form above it
+    # a pass takes the skew matrix up to _SKEW_MAX_NODES and the FFT form
+    # above it, here on 512 blocks of one sigma row
     system, closed = trig_linear_system(7, harmonics=(1, 2), dim=2, T1=3.7, T2=2.0)
     rng = np.random.default_rng(n)
     x = rng.normal(size=2)
     want, scale = closed(x)
-    assert np.abs(_averaged_value(system, x, 0.3, n) - want).max() <= CLOSED_FORM_TOL * scale
+    assert np.abs(pass_value(system, x, 0.3, n) - want).max() <= CLOSED_FORM_TOL * scale
 
 
 # --- the aliasing guard ----------------------------------------------------------
@@ -783,16 +864,25 @@ def test_aliasing_harmonic_converges_to_closed_form(k, ks, finest):
     # without the guard the ladder stops on a wrong answer with no error: from
     # 8 nodes, in every case but sigma-8 (off by 3.1e-3 to 0.5 at this probe);
     # from 64 then 128 nodes, in tau-64, tau-128 and mixed-128-1, where every
-    # grid reads 0. mixed-128-1 reaches 1,024 nodes with many sigma nodes, the
-    # FFT side of the skew cutoff
+    # grid reads 0. mixed-128-1 reaches 1,024 nodes, the FFT side of the skew
+    # cutoff. Every Jacobian call takes whole sigma rows, as many as fit in
+    # _BLOCK_POINTS, so no call exceeds 1,024 points
     system, closed = harmonic_system(k, ks)
-    grids = []
+    calls = []  # (points, sigma rows) of each Jacobian call
     jac = system.f1.jac
-    f1 = replace(system.f1, jac=lambda x, t, s, taus: grids.append(len(taus)) or jac(x, t, s, taus))
+
+    def counted_jac(x, t, s, taus):
+        calls.append((len(taus), np.unique(s).size))
+        return jac(x, t, s, taus)
+
     x = np.array([0.8, -0.5])
-    got = average_fields(replace(system, f1=f1))(x, 0.0)
+    got = average_fields(replace(system, f1=replace(system.f1, jac=counted_jac)))(x, 0.0)
     assert np.abs(got - closed(x)).max() <= 1e-14
-    assert max(grids) == finest
+    assert max(points // rows for points, rows in calls) == finest
+    for points, rows in calls:
+        n = points // rows
+        assert points == n * rows and rows == min(n, max(1, _BLOCK_POINTS // n))
+    assert max(points for points, _ in calls) <= 1024
 
 
 @pytest.mark.parametrize("k, ks", [(16, 0), (128, 0), (0, 16)], ids=["tau-16", "tau-128", "sigma-16"])
@@ -804,9 +894,9 @@ def test_aliasing_harmonic_in_f2_converges_to_closed_form(k, ks):
 
     def func(x, t, sigma, tau):
         tau = np.asarray(tau)
-        return np.multiply.outer((np.cos(k * tau) if k else 0.0 * tau) + math.sin(ks * sigma), d)
+        return np.multiply.outer((np.cos(k * tau) if k else 0.0 * tau) + np.sin(ks * sigma), d)
 
-    f2 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, depends_sigma=ks > 0)
+    f2 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI)
     x = np.array([0.8, -0.5])
     got = average_fields(TwoScaleSystem(f1=sincos_field(), f2=f2, omega=1.0))(x, 0.0)
     assert np.abs(got - expected_drift(x)).max() <= 1e-14
@@ -897,7 +987,7 @@ def _frozen_singular(mu, omega=1.0):
         dim=1, fast_dim=1,
         func=lambda x, z, t, s, tau: np.zeros(1) if np.ndim(tau) == 0
         else np.zeros((len(tau), 1)),
-        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI,
     )
     return SingularSystem(
         f1=zero, f2=zero,
@@ -954,13 +1044,12 @@ def test_reduction_noop_when_fields_ignore_z():
             return math.sin(tau) * v1 + math.cos(tau) * v2
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
-    f1 = SingularField(dim=2, fast_dim=2, func=f1_func, T1=TWO_PI, T2=TWO_PI,
-                       depends_sigma=False)
+    f1 = SingularField(dim=2, fast_dim=2, func=f1_func, T1=TWO_PI, T2=TWO_PI)
     f2 = SingularField(
         dim=2, fast_dim=2,
         func=lambda x, z, t, s, tau: np.zeros(2) if np.ndim(tau) == 0
         else np.zeros((len(tau), 2)),
-        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI,
     )
     ssys = SingularSystem(
         f1=f1, f2=f2, g=lambda x, z, t: x - z, phi=lambda x, t: x, mu=0.1, omega=50.0
@@ -983,10 +1072,9 @@ def test_reduction_zero_f1_gives_mean_of_substituted_f2():
         dim=1, fast_dim=1,
         func=lambda x, z, t, s, tau: np.zeros(1) if np.ndim(tau) == 0
         else np.zeros((len(tau), 1)),
-        T1=TWO_PI, T2=TWO_PI, depends_sigma=False,
+        T1=TWO_PI, T2=TWO_PI,
     )
-    f2 = SingularField(dim=1, fast_dim=1, func=f2_func, T1=TWO_PI, T2=TWO_PI,
-                       depends_sigma=False)
+    f2 = SingularField(dim=1, fast_dim=1, func=f2_func, T1=TWO_PI, T2=TWO_PI)
     ssys = SingularSystem(
         f1=zero, f2=f2, g=lambda x, z, t: 2.0 * x - z, phi=lambda x, t: 2.0 * x,
         mu=0.1, omega=30.0,
