@@ -41,9 +41,10 @@ _NODE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
 # the bracket takes the skew matrix on tau grids up to this size: a whole embedded pass on
 # row stacks (2-core host) took 0.75-0.96x the FFT form's time to 256 nodes, 1.02-1.23x at 512
 _SKEW_MAX_NODES = 256
-# a pass's blocks of sigma rows hold at most this many points: a 12-dim Jacobian stack stays
-# under glibc's 128 KiB mmap threshold (at 1,024 points verify-gain's peak RSS read 1.05x)
-_BLOCK_POINTS = 64
+# a pass's blocks of sigma rows hold at most this many points: a 12-dim block's values (96 KiB)
+# stay under glibc's 128 KiB mmap threshold; verify-gain's peak RSS read 1.03x that of 64-point
+# blocks of Jacobian stacks (1,024-point stacks, 1.1 MiB each, read 1.05x)
+_BLOCK_POINTS = 1024
 
 
 class QuadratureError(RuntimeError):
@@ -77,16 +78,17 @@ class TwoScaleField:
     it returns shape (len(tau), dim). At scalar tau, simulate_two_scale keeps
     odeint's rule: func gets the initial state as an array, then lists of
     floats if it answered a list and f2 is zero (the RK4 stages stay off
-    numpy), else arrays. jac, the state Jacobian d f / d x, is called on
-    grids only and returns shape (len(tau), dim, dim); when absent the
-    quadrature takes central differences.
+    numpy), else arrays. jvp(x, t, sigmas, taus, v), the state Jacobian
+    times v of shape (len(taus), dim), is called on grids only and returns
+    shape (len(taus), dim), row n the product D_x f v_n at node n; when
+    absent the quadrature takes central-difference Jacobians.
     """
 
     dim: int
     func: Callable
     T1: float
     T2: float
-    jac: Optional[Callable] = None
+    jvp: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -114,13 +116,13 @@ def _zero_values(x, t, sigma, tau):
     return np.zeros(np.shape(tau) + (len(x),))
 
 
-def _zero_jacobians(x, t, sigmas, taus):
-    return np.zeros((len(taus), len(x), len(x)))
+def _zero_jvp(x, t, sigmas, taus, v):
+    return np.zeros(np.shape(v))
 
 
 def zero_field(dim: int, T1: float, T2: float) -> TwoScaleField:
     """The field that is zero at every (x, t, sigma, tau)."""
-    return TwoScaleField(dim=dim, func=_zero_values, T1=T1, T2=T2, jac=_zero_jacobians)
+    return TwoScaleField(dim=dim, func=_zero_values, T1=T1, T2=T2, jvp=_zero_jvp)
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,10 @@ class TwoScaleSystem:
 class SingularField:
     """Vector field f(x, z, t, sigma, tau) with a fast-state argument z.
 
-    func keeps TwoScaleField's contract, at scalars and on grids. jac_x =
-    d f / d x and jac_z = d f / d z are called on grids only and return new
-    arrays of shapes (len(tau), dim, dim) and (len(tau), dim, fast_dim); the
-    slow-manifold reduction sums its Jacobian into jac_x's answer in place.
+    func keeps TwoScaleField's contract, at scalars and on grids.
+    jvp(x, z, t, sigmas, taus, vx, vz) is called on grids only, with vx of
+    shape (len(taus), dim) and vz of shape (len(taus), fast_dim), and
+    returns shape (len(taus), dim): row n is D_x f vx_n + D_z f vz_n at node n.
     """
 
     dim: int
@@ -161,8 +163,7 @@ class SingularField:
     func: Callable
     T1: float
     T2: float
-    jac_x: Optional[Callable] = None
-    jac_z: Optional[Callable] = None
+    jvp: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -355,14 +356,6 @@ def fd_jacobian(func, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the averaging quadrature
 
-def _field_and_jac_on_grid(f: TwoScaleField, x, t, sigmas, taus):
-    """Values and Jacobians of f on a (sigma, tau) grid, by analytic jac or central FD."""
-    vals = f.eval_grid(x, t, sigmas, taus)
-    if f.jac is not None:
-        return vals, np.asarray(f.jac(x, t, sigmas, taus), dtype=float)
-    return vals, fd_jacobian(lambda y: f.eval_grid(y, t, sigmas, taus), x)
-
-
 def _sigma_blocks(sys: TwoScaleSystem, n: int, row_points: int):
     """An n x n pass's sigma nodes, _NODE_OFFSET spacings on so that the n and 2n passes
     alias a sigma harmonic differently, in blocks of rows of row_points points each: at
@@ -373,11 +366,13 @@ def _sigma_blocks(sys: TwoScaleSystem, n: int, row_points: int):
 
 def _averaged_value(sys: TwoScaleSystem, x, t, n, by_parts):
     """One pass of the averaged drift at (x, t) on an n x n periodic grid, with by_parts
-    _by_parts_factor(n, T2); one f1, jac and f2 call per block of sigma rows.
+    _by_parts_factor(n, T2); one f1, jvp and f2 call per block of sigma rows.
 
     The bracket [G, f1] = J G - (P J) f1, with J = D f1, P the grid
     antiderivative int_0^tau and G = P f1, is taken by parts: the tau-sum
-    of (P J) f1 equals that of J (P^T f1), so it sums as J ((P - P^T) f1).
+    of (P J) f1 equals that of J (P^T f1), so it sums as J ((P - P^T) f1),
+    one Jacobian-vector product per node. A field without jvp pays for
+    central-difference Jacobian stacks.
     """
     f1, f2 = sys.f1, sys.f2
     taus = _periodic_nodes(n, f1.T2)
@@ -385,9 +380,13 @@ def _averaged_value(sys: TwoScaleSystem, x, t, n, by_parts):
     mean = np.zeros(f1.dim)
     for block in _sigma_blocks(sys, n, n):
         sigmas, grid = np.repeat(block, n), np.tile(taus, len(block))
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, sigmas, grid)
+        vals = f1.eval_grid(x, t, sigmas, grid)
         skewed = by_parts(vals.reshape(len(block), n, f1.dim)).reshape(vals.shape)
-        bracket += np.einsum("mij,mj->i", jacs, skewed)
+        if f1.jvp is not None:
+            bracket += f1.jvp(x, t, sigmas, grid, skewed).sum(axis=0)
+        else:
+            jacs = fd_jacobian(lambda y: f1.eval_grid(y, t, sigmas, grid), x)
+            bracket += np.einsum("mij,mj->i", jacs, skewed)
         mean += f2.eval_grid(x, t, sigmas, grid).sum(axis=0)
     points = n * n
     # times 1 / points, then halved: the rounding every pinned result was made with
@@ -404,7 +403,8 @@ def average_fields(
     the n- and 2n-node results agree within settings.tol and f1's and f2's tau-means
     settle (_tau_mean) at the n-node sigma nodes, as the bracket cannot see a harmonic
     aliased onto f1's mean. max_refinements = 0 returns the first pass unchecked. Passes
-    evaluate blocks of sigma rows (_sigma_blocks); the callable keeps each level's by_parts.
+    evaluate blocks of sigma rows (_sigma_blocks) and take the bracket from f1's jvp; the
+    callable keeps each level's by_parts.
     """
     by_parts = cache(lambda n: _by_parts_factor(n, sys.f1.T2))
 
@@ -432,27 +432,23 @@ def average_fields(
 def reduce_to_slow_manifold(ssys: SingularSystem, validate: bool = True) -> TwoScaleSystem:
     """Substitute the quasi-steady state z = phi(x, t) into both fields.
 
-    Jacobians compose as d f~ / dx = df/dx + df/dz . dphi/dx when all
-    analytic pieces are available; otherwise the reduced field falls back to
-    finite differences.
+    Directional derivatives compose as D f~ v = D_x f v + D_z f (dphi/dx v)
+    when the field's jvp and phi_jac are given; otherwise the reduced field
+    falls back to finite differences.
     """
 
     def make_reduced(sf: SingularField) -> TwoScaleField:
         def func(x, t, sigma, tau):
             return sf.func(x, ssys.phi(x, t), t, sigma, tau)
 
-        jac = None
-        if sf.jac_x is not None and sf.jac_z is not None and ssys.phi_jac is not None:
+        jvp = None
+        if sf.jvp is not None and ssys.phi_jac is not None:
 
-            def jac(x, t, sigmas, taus):
-                z = ssys.phi(x, t)
-                jx = np.asarray(sf.jac_x(x, z, t, sigmas, taus), dtype=float)
-                jz = np.asarray(sf.jac_z(x, z, t, sigmas, taus))
+            def jvp(x, t, sigmas, taus, v):
                 dphi = np.asarray(ssys.phi_jac(x, t)).reshape(sf.fast_dim, sf.dim)
-                jx += np.einsum("tnm,mk->tnk", jz, dphi)
-                return jx
+                return sf.jvp(x, ssys.phi(x, t), t, sigmas, taus, v, v @ dphi.T)
 
-        return TwoScaleField(dim=sf.dim, func=func, T1=sf.T1, T2=sf.T2, jac=jac)
+        return TwoScaleField(dim=sf.dim, func=func, T1=sf.T1, T2=sf.T2, jvp=jvp)
 
     if ssys.f2 is None:
         f2 = zero_field(ssys.dim, ssys.f1.T1, ssys.f1.T2)
@@ -601,6 +597,16 @@ def simulate_averaged(
 # ---------------------------------------------------------------------------
 # convergence study
 
+def _check_sweep_plan(system: TwoScaleSystem, t0: float, tf: float, omega: float, settings):
+    """ValueError naming omega and tf when the run at omega over [t0, t0 + tf],
+    sampled at 400 intervals, would plan more RK4 steps than odeint takes."""
+    dt = oscillatory_step(system.f1.T1, system.f1.T2, omega, math.inf, settings)
+    try:
+        _plan_steps(t0, t0 + tf, dt, tf / 400.0)
+    except ValueError as exc:
+        raise ValueError(f"omega = {omega:.6g} over tf = {tf:g}: {exc}") from None
+
+
 def convergence_study(
     system: TwoScaleSystem,
     x0,
@@ -630,11 +636,7 @@ def convergence_study(
 
     sample_dt = tf / 400.0
     # the largest omega plans the most steps; an over-long sweep stops here
-    dt = oscillatory_step(system.f1.T1, system.f1.T2, omegas[-1], math.inf, settings)
-    try:
-        _plan_steps(t0, t0 + tf, dt, sample_dt)
-    except ValueError as exc:
-        raise ValueError(f"omega = {omegas[-1]:.6g} over tf = {tf:g}: {exc}") from None
+    _check_sweep_plan(system, t0, tf, omegas[-1], settings)
 
     if reference is None:
         reference = average_fields(system)

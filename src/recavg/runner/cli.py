@@ -2,8 +2,10 @@
 
 Subcommands: simulate, demo, sweep, verify, plot. Output lands under --out,
 or the RECAVG_OUT_ROOT environment variable, or ./out. Exit codes: 0 on
-success, 2 on configuration errors, 3 on numerical divergence, 4 on
-verification failure, 5 when the averaging quadrature does not converge.
+success, 2 on configuration errors (ConfigError), 3 on numerical
+divergence, 4 on verification failure, 5 when the averaging quadrature
+does not converge, and 1 on any other exception, a fault of the program
+rather than of its input, reported on one line that names its type.
 """
 
 import argparse
@@ -17,17 +19,20 @@ import numpy as np
 from ..avgcore import QuadratureError
 from ..odeint import DivergenceError
 from .artifacts import STATE_COLUMNS, read_csv, run_scenario
-from .config import ConfigError, load_config, parse_pi_value
+from .config import ConfigError, check_source_path, load_config, parse_pi_value
 from .scenarios import BUILTIN_NAMES, built_in
 from .sweep import run_sweep
 from .verify import verify_averaging
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 EXIT_QUADRATURE = 5
-_ERROR_EXITS = {DivergenceError: EXIT_DIVERGED, QuadratureError: EXIT_QUADRATURE}
+_ERROR_EXITS = {
+    ConfigError: EXIT_CONFIG, DivergenceError: EXIT_DIVERGED, QuadratureError: EXIT_QUADRATURE,
+}
 
 OUT_ROOT_ENV = "RECAVG_OUT_ROOT"
 
@@ -197,8 +202,12 @@ def _cmd_plot(args):
         tables[rep] = data
     try:
         field = signal_field(**field_spec)
+        t_max = max((float(np.abs(data[:, 0]).max()) for data in tables.values()), default=0.0)
+        check_source_path(field, t_max)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"run summary {summary_path}: 'field_spec': {exc}") from exc
+    if not tables:
+        raise ConfigError(f"run summary {summary_path}: 'files.csv' lists no trajectory")
     paths = plot_artifacts(name, tables, args.in_dir, field)
     for p in paths:
         print(f"wrote {p}")
@@ -214,10 +223,12 @@ def main(argv=None) -> int:
         # odeint reports a diverging state once, as DivergenceError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return handlers[args.command](args)
-    except (DivergenceError, QuadratureError, ValueError) as exc:
-        # ConfigError and every other ValueError report as configuration errors
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _ERROR_EXITS.get(type(exc), EXIT_CONFIG)
+        return _ERROR_EXITS[type(exc)]
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

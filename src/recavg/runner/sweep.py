@@ -17,7 +17,7 @@ import numpy as np
 from .. import avgcore, seek3d
 from ..avgcore import ConvergenceReport
 from .artifacts import write_csv
-from .config import Scenario, check_source_path
+from .config import ConfigError, Scenario, check_source_path
 
 
 def run_sweep(
@@ -34,7 +34,8 @@ def run_sweep(
     equal intervals of [0, t_final], so its sample_dt does not apply.
     The frequencies run one after another; workers is accepted and
     ignored, because the benchmark under perfbench/ still passes it. A
-    source path that is not finite at t_final raises ConfigError first.
+    source path that is not finite at t_final raises ConfigError first, and
+    so does a plan of too many RK4 steps at the last frequency.
     """
     check_source_path(scenario.field, t_final)
     params = scenario.params
@@ -42,9 +43,14 @@ def run_sweep(
     Q0 = seek3d.initial_Q(scenario.R0, z0, 0.0, params)
     x0 = seek3d.embed_columns(scenario.p0, Q0)
     ssys = seek3d.embedded_system(params, scenario.field, validate=False)
+    reduced = avgcore.reduce_to_slow_manifold(ssys, validate=False)
+    try:
+        avgcore._check_sweep_plan(reduced, 0.0, t_final, omegas[-1], scenario.integrator)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = avgcore.convergence_study(
-        avgcore.reduce_to_slow_manifold(ssys, validate=False), x0, 0.0, t_final, omegas,
-        scenario.integrator, reference=seek3d.rora_drift(scenario.field),
+        reduced, x0, 0.0, t_final, omegas, scenario.integrator,
+        reference=seek3d.rora_drift(scenario.field),
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -63,10 +63,10 @@ def sincos_test_system() -> TwoScaleSystem:
         v1, v2 = _B1 @ x, _B2 @ x
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
-    def jac1(x, t, sigma, taus):
-        return np.sin(taus)[:, None, None] * _B1 + np.cos(taus)[:, None, None] * _B2
+    def jvp1(x, t, sigma, taus, v):
+        return np.sin(taus)[:, None] * (v @ _B1.T) + np.cos(taus)[:, None] * (v @ _B2.T)
 
-    field1 = TwoScaleField(dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi, jac=jac1)
+    field1 = TwoScaleField(dim=2, func=f1, T1=2 * math.pi, T2=2 * math.pi, jvp=jvp1)
     field2 = avgcore.zero_field(2, 2 * math.pi, 2 * math.pi)
     return TwoScaleSystem(f1=field1, f2=field2, omega=400.0)
 

@@ -298,37 +298,22 @@ def _rora_rates(p, q, t, field) -> list:
 # ---------------------------------------------------------------------------
 # embedding into R^12 for the averaging engine
 
-def _embedded_frame_dz(z: float, sigmas, taus, alpha: float):
-    """d f/dz and d L/dz on a (sigma, tau) grid, both of shape (3, len(taus)).
-
-    The heading and the roll axis turn about e3 at angle rates 1 and 2 in
-    tau - z, so their z-derivatives are -hat(e3) and -2 hat(e3) applied to
-    f and L, again in-plane vectors.
-    """
-    th = _SQRT2 * alpha * np.asarray(sigmas)
-    c, s = np.cos(th), np.sin(th)
-    phi = np.asarray(taus) - z
-    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    fz = np.array(_turn_in_plane(c, s, _SQRT2 * np.sin(phi), -_SQRT2 * np.cos(phi)))
-    lamz = np.array(_turn_in_plane(c, s, 2.0 * alpha * (s2 - c2), -2.0 * alpha * (c2 + s2)))
-    return fz, lamz
-
-
 def embedded_field(params: SeekParams) -> SingularField:
     """The R^12 field of the transformed kinematics on [p, rows of Q].
 
     dp = Q f and dQ = Q hat(L), with f and L from _frame_vectors and no
     sqrt(w) factor: the averaging engine applies it. Row i of dQ is q_i x L,
-    written without reference to the group so that state Jacobians are
-    plain matrices: f^T in the translation rows and -hat(L) on the diagonal
-    of the rotation rows.
+    written without reference to the group, so the field is linear in Q.
 
     The callbacks keep SingularField's contract, and each runs the scalar
     kernels: func picks the trig module by tau, and a (sigma, tau) grid gets
     _rigid_rates broadcast over the grid, rows of shape (len(tau), 12),
     while a scalar tau gets its 12 floats as a list, for a state given as a
-    list of floats or as an array. jac_x and jac_z take grids only; jac_z is
-    the same linear map of the z-derivatives of f and L.
+    list of floats or as an array. jvp takes grids only: D_x f vx is
+    _rigid_rates of vx's rows of Q with the same f and L, and D_z f vz is
+    vz times _rigid_rates of Q with the z-derivatives of f and L, which
+    turn about e3 at angle rates 1 and 2 in tau - z, so that d/dz applies
+    -hat(e3) and -2 hat(e3) to their in-plane vectors.
     """
     alpha, ndarray = params.alpha, np.ndarray
 
@@ -339,20 +324,17 @@ def embedded_field(params: SeekParams) -> SingularField:
             return np.array(_rigid_rates(x[3:12], *_frame_vectors(np, z[0], sigma, tau, alpha))).T
         return _rigid_rates(x[3:12], *_frame_vectors(math, z[0], sigma, tau, alpha))
 
-    def jac_x(x, z, t, sigmas, taus):
-        f, (l0, l1, l2) = _frame_vectors(np, z[0], sigmas, taus, alpha)
-        entries = ((0, 1, l2), (0, 2, -l1), (1, 0, -l2), (1, 2, l0), (2, 0, l1), (2, 1, -l0))
-        jac = np.zeros((len(taus), 4, 3, 4, 3))
-        for i in range(3):
-            for j in range(3):
-                jac[:, 0, i, 1 + i, j] = f[j]
-            for a, b, value in entries:  # -hat(L) on the diagonal of the rotation rows
-                jac[:, 1 + i, a, 1 + i, b] = value
-        return jac.reshape(-1, EMBEDDED_DIM, EMBEDDED_DIM)
-
-    def jac_z(x, z, t, sigmas, taus):
-        fz, lamz = _embedded_frame_dz(z[0], sigmas, taus, alpha)
-        return np.array(_rigid_rates(x[3:12], fz, lamz)).T[:, :, None]
+    def jvp(x, z, t, sigmas, taus, vx, vz):
+        # _frame_vectors(np, ...) and its z-derivatives from one cos and sin of each angle
+        th, phi = _SQRT2 * alpha * sigmas, taus - z[0]
+        c, s = np.cos(th), np.sin(th)
+        u, v = _SQRT2 * np.cos(phi), _SQRT2 * np.sin(phi)
+        c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+        a, b = alpha * (c2 + s2), alpha * (s2 - c2)
+        f, lam = _turn_in_plane(c, s, u, v), _turn_in_plane(c, s, a, b)
+        fz, lamz = _turn_in_plane(c, s, v, -u), _turn_in_plane(c, s, 2.0 * b, -2.0 * a)
+        along_x = np.array(_rigid_rates(vx[:, 3:12].T, f, lam))
+        return (along_x + vz[:, 0] * np.array(_rigid_rates(x[3:12], fz, lamz))).T
 
     return SingularField(
         dim=EMBEDDED_DIM,
@@ -360,8 +342,7 @@ def embedded_field(params: SeekParams) -> SingularField:
         func=func,
         T1=params.sigma_period,
         T2=params.tau_period,
-        jac_x=jac_x,
-        jac_z=jac_z,
+        jvp=jvp,
     )
 
 

@@ -61,7 +61,3 @@ def values_to_rows(values):
     """Column-layout values, embedded coordinates on the last axis, in the rows layout."""
     return np.asarray(values)[..., COLUMNS]
 
-
-def jacobians_to_rows(jac):
-    """Column-layout Jacobians of shape (m, 12, 12) in the rows layout."""
-    return jac[:, COLUMNS][:, :, COLUMNS]

@@ -32,12 +32,12 @@ from recavg.avgcore import (
     _SKEW_MAX_NODES,
     _averaged_value,
     _by_parts_factor,
-    _field_and_jac_on_grid,
     _periodic_antiderivative,
     _sigma_blocks,
     _zero_values,
     average_fields,
     convergence_study,
+    fd_jacobian,
     oscillatory_step,
     reduce_to_slow_manifold,
     rora_reduce,
@@ -58,7 +58,7 @@ B2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 COMMUTATOR = B2 @ B1 - B1 @ B2  # equals diag(-1, 1)
 
 
-def sincos_field(with_jac=True):
+def sincos_field(with_jvp=True):
     """sin(tau) B1 x + cos(tau) B2 x as a TwoScaleField."""
 
     def func(x, t, sigma, tau):
@@ -67,19 +67,35 @@ def sincos_field(with_jac=True):
         v1, v2 = B1 @ x, B2 @ x
         return np.sin(tau)[:, None] * v1[None, :] + np.cos(tau)[:, None] * v2[None, :]
 
-    jac = None
-    if with_jac:
+    jvp = None
+    if with_jvp:
 
-        def jac(x, t, sigma, taus):
-            return np.sin(taus)[:, None, None] * B1 + np.cos(taus)[:, None, None] * B2
+        def jvp(x, t, sigma, taus, v):
+            return np.sin(taus)[:, None] * (v @ B1.T) + np.cos(taus)[:, None] * (v @ B2.T)
 
-    return TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
+    return TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jvp=jvp)
 
 
-def sincos_system(omega=400.0, with_jac=True):
+def sincos_system(omega=400.0, with_jvp=True):
     return TwoScaleSystem(
-        f1=sincos_field(with_jac), f2=zero_field(2, TWO_PI, TWO_PI), omega=omega
+        f1=sincos_field(with_jvp), f2=zero_field(2, TWO_PI, TWO_PI), omega=omega
     )
+
+
+def matrix_jvp(matrices):
+    """The jvp of a field linear in x, M(sigma, tau) x + c, from its
+    matrices(sigmas, taus) of shape (len(taus), dim, dim)."""
+    return lambda x, t, sigmas, taus, v: (matrices(sigmas, taus) @ v[:, :, None])[:, :, 0]
+
+
+def grid_jacobians(f, x, t, sigmas, taus):
+    """f's state Jacobians on a grid, shape (len(taus), dim, dim): column j is
+    f.jvp along e_j at every node (exact for the fields here, which multiply
+    the direction's entries by coefficients and add), else central differences."""
+    if f.jvp is None:
+        return fd_jacobian(lambda y: f.eval_grid(y, t, sigmas, taus), x)
+    units = np.broadcast_to(np.eye(f.dim)[:, None, :], (f.dim, len(taus), f.dim))
+    return np.stack([f.jvp(x, t, sigmas, taus, e) for e in units], axis=-1)
 
 
 def expected_drift(x):
@@ -200,11 +216,11 @@ CONTRACT_PARAMS = seek3d.SeekParams(alpha=0.125, omega=4.0 * math.pi, mu=1e-2)
 
 
 def embedded_f1_at_fixed_z():
-    """The embedded SingularField with its fast state frozen; jac is jac_x."""
+    """The embedded SingularField with its fast state frozen; jvp is its x-part."""
     sf, z = seek3d.embedded_field(CONTRACT_PARAMS), np.array([-0.3])
     return TwoScaleField(
         dim=sf.dim, func=lambda x, t, s, tau: sf.func(x, z, t, s, tau), T1=sf.T1, T2=sf.T2,
-        jac=lambda x, t, s, taus: sf.jac_x(x, z, t, s, taus),
+        jvp=lambda x, t, s, taus, v: sf.jvp(x, z, t, s, taus, v, np.zeros((len(taus), 1))),
     )
 
 
@@ -220,8 +236,7 @@ def embedded_f1_at_fixed_z():
 )
 def test_shipped_fields_keep_the_field_contract(make_field):
     # scalar sigma and tau give dim values, for a list state as for an array
-    # state; a (sigma, tau) grid gives one row per node, and jac one matrix
-    # per node
+    # state; a (sigma, tau) grid gives one row per node, and so does jvp
     f = make_field()
     rng = np.random.default_rng(36)
     n = 7
@@ -235,25 +250,39 @@ def test_shipped_fields_keep_the_field_contract(make_field):
         # the same kernel answers both: equal floats, not merely close ones
         assert np.array_equal(np.asarray(from_array, float), np.asarray(from_list, float))
         assert np.shape(f.func(x, t, sigmas, taus)) == (n, f.dim)
-        assert np.shape(f.jac(x, t, sigmas, taus)) == (n, f.dim, f.dim)
+        assert np.shape(f.jvp(x, t, sigmas, taus, rng.normal(size=(n, f.dim)))) == (n, f.dim)
+
+
+def node_directions(sigmas, taus, dim):
+    """A direction per node, shape (len(taus), dim), fixed by the node's sigma and tau."""
+    return np.cos(np.multiply.outer(sigmas + 2.0 * taus, np.arange(1.0, dim + 1.0)))
 
 
 def shipped_grid_callbacks():
-    """name -> (state dim, callback (x, t, sigma, tau), whether it answers scalars)."""
+    """name -> (state dim, callback (x, t, sigma, tau), whether it answers scalars).
+
+    A -jac name stands for the jvp that replaced that Jacobian, applied to
+    node_directions; embedded-jac_x and -jac_z take the x and z directions.
+    """
     sf, z = seek3d.embedded_field(CONTRACT_PARAMS), np.array([-0.3])
     reduced, sincos = reduced_embedded_system().f1, sincos_test_system().f1
     zero = zero_field(3, TWO_PI, 3.0)
     frozen = lambda callback: (lambda x, t, s, tau: callback(x, z, t, s, tau))
+    applied = lambda jvp, dim: (
+        lambda x, t, s, tau: jvp(x, t, s, tau, node_directions(s, tau, dim))
+    )
+    along_x = lambda x, t, s, tau, v: sf.jvp(x, z, t, s, tau, v, np.zeros((len(tau), 1)))
+    along_z = lambda x, t, s, tau, v: sf.jvp(x, z, t, s, tau, np.zeros((len(tau), 12)), v)
     return {
         "embedded-func": (12, frozen(sf.func), True),
-        "embedded-jac_x": (12, frozen(sf.jac_x), False),
-        "embedded-jac_z": (12, frozen(sf.jac_z), False),
+        "embedded-jac_x": (12, applied(along_x, 12), False),
+        "embedded-jac_z": (12, applied(along_z, 1), False),
         "reduced-func": (12, reduced.func, True),
-        "reduced-jac": (12, reduced.jac, False),
+        "reduced-jac": (12, applied(reduced.jvp, 12), False),
         "sincos-f1": (2, sincos.func, True),
-        "sincos-jac1": (2, sincos.jac, False),
+        "sincos-jac1": (2, applied(sincos.jvp, 2), False),
         "zero-func": (3, zero.func, True),
-        "zero-jac": (3, zero.jac, False),
+        "zero-jac": (3, applied(zero.jvp, 3), False),
     }
 
 
@@ -286,9 +315,9 @@ def test_grid_callbacks_equal_their_per_node_calls(name):
 
 def test_one_field_call_per_block_of_sigma_rows():
     # an evaluation that stops at the 16-node pass: the 8-node pass is one
-    # block of 64 points, the 16-node pass 4 blocks of 4 sigma rows, the
-    # guard's 8 rows of 16 tau nodes 2 blocks; 448 points in 7 f1 calls, where
-    # one call per sigma node took 8 + 16 + 8 = 32
+    # block of 64 points, the 16-node pass one of 256, the guard's 8 rows of
+    # 16 tau nodes one of 128; 448 points in 3 f1 calls, where blocks of at
+    # most 64 points took 7 and one call per sigma node 8 + 16 + 8 = 32
     system = reduced_embedded_system()
     func, grids = system.f1.func, []
 
@@ -299,7 +328,7 @@ def test_one_field_call_per_block_of_sigma_rows():
 
     averaged = average_fields(replace(system, f1=replace(system.f1, func=counted)))
     averaged(embedded_probe(np.random.default_rng(38)), 0.0)
-    assert grids == [_BLOCK_POINTS] * 7
+    assert grids == [64, 256, 128]
 
 
 @pytest.mark.parametrize(
@@ -338,17 +367,17 @@ def harmonic_system(k, ks=0, validate=False):
     Its tau-mean is zero, but on an n-node grid with n dividing k the cos
     term folds onto the mean as B2 x.
     """
-    def jac(x, t, sigma, tau):
+    def matrices(sigma, tau):
         taus = np.atleast_1d(tau)
         amp = (1.0 + np.cos(ks * np.asarray(sigma)))[..., None, None] if ks else 1.0
         return amp * (np.multiply.outer(np.sin(k * taus), B1)
                       + np.multiply.outer(np.cos(k * taus), B2))
 
     def func(x, t, sigma, tau):
-        out = jac(x, t, sigma, tau) @ np.asarray(x)
+        out = matrices(sigma, tau) @ np.asarray(x)
         return out[0] if np.ndim(tau) == 0 else out
 
-    f1 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
+    f1 = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jvp=matrix_jvp(matrices))
     system = TwoScaleSystem(f1=f1, f2=zero_field(2, TWO_PI, TWO_PI), omega=1.0, validate=validate)
     return system, lambda x: -(1.5 if ks else 1.0) * (COMMUTATOR @ x) / (2 * k)
 
@@ -438,7 +467,7 @@ def test_singular_equilibrium_violation_rejected():
 
 def test_sincos_closed_form_fd_route():
     # no analytic Jacobian: exercises the finite-difference path
-    sys = sincos_system(with_jac=False)
+    sys = sincos_system(with_jvp=False)
     averaged = average_fields(sys)
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -499,11 +528,11 @@ def exp_sin_system():
         a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
         return np.multiply.outer(a, B1 @ x) + np.multiply.outer(b, B2 @ x)
 
-    def jac(x, t, sigma, tau):
+    def jvp(x, t, sigma, tau, v):
         a, b = np.sin(tau), np.cos(tau) * np.exp(np.sin(tau))
-        return np.multiply.outer(a, B1) + np.multiply.outer(b, B2)
+        return a[:, None] * (v @ B1.T) + b[:, None] * (v @ B2.T)
 
-    field = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jac=jac)
+    field = TwoScaleField(dim=2, func=func, T1=TWO_PI, T2=TWO_PI, jvp=jvp)
     return TwoScaleSystem(f1=field, f2=zero_field(2, TWO_PI, TWO_PI), omega=400.0)
 
 
@@ -558,7 +587,7 @@ def two_antiderivative_value(sys, x, t, n):
     mean = np.zeros(f1.dim)
     for sig in sigmas:
         row = np.full(n, sig)
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, row, taus)
+        vals, jacs = f1.eval_grid(x, t, row, taus), grid_jacobians(f1, x, t, row, taus)
         anti = _periodic_antiderivative(vals, f1.T2)
         anti_jac = _periodic_antiderivative(jacs, f1.T2)
         bracket += np.einsum("mij,mj->i", jacs, anti) - np.einsum("mij,mj->i", anti_jac, vals)
@@ -581,7 +610,7 @@ def random_linear_system(seed, degree, with_mean=False):
     c = rng.normal(size=dim) if with_mean else np.zeros(dim)
     k = np.arange(1, degree + 1)
 
-    def jac(x, t, sigma, tau):
+    def matrices(sigma, tau):
         phase = np.multiply.outer(np.atleast_1d(tau), k * w)
         osc = np.einsum("mk,kij->mij", np.cos(phase), cos_c) + np.einsum(
             "mk,kij->mij", np.sin(phase), sin_c
@@ -590,9 +619,9 @@ def random_linear_system(seed, degree, with_mean=False):
         return out[0] if np.ndim(tau) == 0 else out
 
     def func(x, t, sigma, tau):
-        return jac(x, t, sigma, tau) @ x + c
+        return matrices(sigma, tau) @ x + c
 
-    field = TwoScaleField(dim=dim, func=func, T1=TWO_PI, T2=3.0, jac=jac)
+    field = TwoScaleField(dim=dim, func=func, T1=TWO_PI, T2=3.0, jvp=matrix_jvp(matrices))
     zero = zero_field(dim, TWO_PI, 3.0)
     return TwoScaleSystem(f1=field, f2=zero, omega=1.0, validate=not with_mean)
 
@@ -620,7 +649,7 @@ BRACKET_SYSTEMS = pytest.mark.parametrize(
         (reduced_embedded_system, 16, embedded_probe),
         (reduced_embedded_system, 64, embedded_probe),
         (sincos_system, 16, gaussian_probe(2)),
-        (lambda: sincos_system(with_jac=False), 16, gaussian_probe(2)),
+        (lambda: sincos_system(with_jvp=False), 16, gaussian_probe(2)),
         (lambda: random_linear_system(41, degree=7), 16, gaussian_probe(3)),
         (lambda: random_linear_system(42, degree=31), 64, gaussian_probe(3)),
         (lambda: random_linear_system(43, degree=5, with_mean=True), 16, gaussian_probe(3)),
@@ -640,8 +669,8 @@ def pass_value(sys, x, t, n):
 
 @BRACKET_SYSTEMS
 def test_by_parts_bracket_matches_two_antiderivative_form(make_sys, n, probe):
-    # the n = 16 cases take 4 blocks of 4 sigma rows per pass, the n = 64
-    # cases 64 blocks of one row
+    # the n = 16 cases take one block of 16 sigma rows per pass, the n = 64
+    # cases 4 blocks of 16 rows
     sys = make_sys()
     rng = np.random.default_rng(n)
     for i in range(50):
@@ -684,9 +713,9 @@ def switched_averaged_value(sys, x, t, n, sign, swap):
     by_parts = _by_parts_factor(n, f1.T2)
     for block in _sigma_blocks(sys, n, n):
         sigmas, grid = np.repeat(block, n), np.tile(taus, len(block))
-        vals, jacs = _field_and_jac_on_grid(f1, x, t, sigmas, grid)
+        vals = f1.eval_grid(x, t, sigmas, grid)
         skewed = by_parts(vals.reshape(len(block), n, f1.dim)).reshape(vals.shape)
-        bracket += np.einsum("mij,mj->i", jacs, skewed)
+        bracket += f1.jvp(x, t, sigmas, grid, skewed).sum(axis=0)
         mean += f2.eval_grid(x, t, sigmas, grid).sum(axis=0)
     points = n * n
     bracket *= sign / points
@@ -761,8 +790,6 @@ def trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic=1):
     def f1(x, t, sigma, tau):
         return scalar_or_grid(tau, matrices(sigma, tau) @ np.asarray(x))
 
-    def f1_jac(x, t, sigma, taus):
-        return matrices(sigma, taus)
 
     def f2(x, t, sigma, tau):
         column = np.atleast_1d(tau)[:, None, None]
@@ -772,7 +799,7 @@ def trig_linear_system(seed, harmonics, dim, T1, T2, sigma_harmonic=1):
         return scalar_or_grid(tau, e @ np.asarray(x) + d)
 
     system = TwoScaleSystem(
-        f1=TwoScaleField(dim=dim, func=f1, T1=T1, T2=T2, jac=f1_jac),
+        f1=TwoScaleField(dim=dim, func=f1, T1=T1, T2=T2, jvp=matrix_jvp(matrices)),
         f2=TwoScaleField(dim=dim, func=f2, T1=T1, T2=T2),
         omega=1.0,
     )
@@ -839,7 +866,7 @@ def test_closed_form_tells_engine_slips_apart(slip):
 @pytest.mark.parametrize("n", [_SKEW_MAX_NODES, 2 * _SKEW_MAX_NODES], ids=["skew-matrix", "fft"])
 def test_averaged_value_matches_closed_form_either_side_of_skew_cutoff(n):
     # a pass takes the skew matrix up to _SKEW_MAX_NODES and the FFT form
-    # above it, here on 512 blocks of one sigma row
+    # above it, here on blocks of 4 and of 2 sigma rows
     system, closed = trig_linear_system(7, harmonics=(1, 2), dim=2, T1=3.7, T2=2.0)
     rng = np.random.default_rng(n)
     x = rng.normal(size=2)
@@ -865,18 +892,18 @@ def test_aliasing_harmonic_converges_to_closed_form(k, ks, finest):
     # 8 nodes, in every case but sigma-8 (off by 3.1e-3 to 0.5 at this probe);
     # from 64 then 128 nodes, in tau-64, tau-128 and mixed-128-1, where every
     # grid reads 0. mixed-128-1 reaches 1,024 nodes, the FFT side of the skew
-    # cutoff. Every Jacobian call takes whole sigma rows, as many as fit in
+    # cutoff. Every jvp call takes whole sigma rows, as many as fit in
     # _BLOCK_POINTS, so no call exceeds 1,024 points
     system, closed = harmonic_system(k, ks)
-    calls = []  # (points, sigma rows) of each Jacobian call
-    jac = system.f1.jac
+    calls = []  # (points, sigma rows) of each jvp call
+    jvp = system.f1.jvp
 
-    def counted_jac(x, t, s, taus):
+    def counted_jvp(x, t, s, taus, v):
         calls.append((len(taus), np.unique(s).size))
-        return jac(x, t, s, taus)
+        return jvp(x, t, s, taus, v)
 
     x = np.array([0.8, -0.5])
-    got = average_fields(replace(system, f1=replace(system.f1, jac=counted_jac)))(x, 0.0)
+    got = average_fields(replace(system, f1=replace(system.f1, jvp=counted_jvp)))(x, 0.0)
     assert np.abs(got - closed(x)).max() <= 1e-14
     assert max(points // rows for points, rows in calls) == finest
     for points, rows in calls:

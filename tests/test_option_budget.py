@@ -14,9 +14,9 @@ from pathlib import Path
 
 import recavg
 
-# ROADMAP item 4 caps the count at 50; 44 is the count the code has
+# ROADMAP item 4 caps the count at 50; 43 is the count the code has
 # reached, so a new option has to replace an old one or be argued for there
-MAX_SETTABLE = 44
+MAX_SETTABLE = 43
 # the lines of src/recavg/**/*.py, counted as ROADMAP tracks them; the code
 # has reached this count, so new code has to pay for itself with deletions
 MAX_SRC_LINES = 2699

@@ -21,8 +21,10 @@ from recavg.runner import (
     scenario_from_dict,
     verify_averaging,
 )
-from recavg.runner.artifacts import read_csv, write_csv
-from recavg.runner.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
+from recavg.runner.artifacts import STATE_COLUMNS, read_csv, write_csv
+from recavg.runner.cli import (
+    EXIT_CONFIG, EXIT_DIVERGED, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main,
+)
 from recavg.runner.svgplot import _Canvas, plot_lines
 from recavg.runner.verify import VerificationReport
 from recavg.seek3d import rora_drift
@@ -148,6 +150,7 @@ def test_cli_step_cap_refused_before_output(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("args", [
     ["--omegas", "4pi,16pi,64pi", "--t-final", "1e6"],
     ["--omegas", "4pi,16pi,1e9pi"],  # only the largest omega is over the cap
+    ["--omegas", "4pi,16pi,1e9", "--t-final", "20"],
 ])
 def test_cli_sweep_step_cap_refused_before_any_run(tmp_path, monkeypatch, capsys, args):
     from recavg import avgcore
@@ -803,6 +806,62 @@ def test_cli_quadrature_error_exit_code(monkeypatch, capsys):
     assert main(["verify"]) == 5
     err = capsys.readouterr().err
     assert err == "error: quadrature did not converge to 1e-09 within 4 refinements\n"
+
+
+@pytest.mark.parametrize(
+    "exc", [ValueError("a bug"), ZeroDivisionError("a bug"), KeyError("a bug")],
+    ids=["ValueError", "ZeroDivisionError", "KeyError"],
+)
+def test_cli_other_exception_is_an_internal_error(monkeypatch, capsys, exc):
+    # only ConfigError reads as bad input: a plain ValueError is a fault of
+    # the program, reported on one line that names its type
+    from recavg.runner import cli
+
+    def boom(**kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_averaging", boom)
+    assert main(["verify"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"error: internal {type(exc).__name__}: {exc}\n"
+
+
+def test_run_sweep_refuses_an_over_long_plan_as_config_error(monkeypatch):
+    from recavg import avgcore
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an integration started")
+
+    monkeypatch.setattr(avgcore, "simulate_averaged", no_run)
+    with pytest.raises(ConfigError, match=r"^omega = 1e\+09 over tf = 20: .* over the cap"):
+        run_sweep(built_in("ex1"), [4 * math.pi, 16 * math.pi, 1e9], None, t_final=20.0)
+
+
+@pytest.mark.parametrize(
+    "field_spec, t, message",
+    [
+        ({"kind": "static"}, None, "'files.csv' lists no trajectory"),
+        ({"kind": "orbit", "rate": 1e308}, 100.0,
+         "'field_spec': field: the source path is not finite at t = 100"),
+        ({"kind": "orbit"}, math.inf,
+         "'field_spec': field: the source path is not finite at t = inf"),
+    ],
+    ids=["no-trajectory", "orbit-rate-1e308", "time-inf"],
+)
+def test_cli_plot_summary_that_cannot_be_drawn_is_config_error(tmp_path, capsys, field_spec, t,
+                                                               message):
+    # these ended in plot_artifacts' ValueError, or math.sin's "math domain
+    # error" at the source path, reported as configuration errors by luck
+    csv_paths = {}
+    if t is not None:
+        csv_paths["full"] = str(tmp_path / "x_full.csv")
+        rows = np.array([[0.0] + [1.0] * 14, [t] + [1.0] * 14])
+        write_csv(csv_paths["full"], STATE_COLUMNS, rows)
+    summary = {"scenario": "x", "files": {"csv": csv_paths}, "field_spec": field_spec}
+    (tmp_path / "x_summary.json").write_text(json.dumps(summary))
+    assert main(["plot", "--in", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+    assert not list(tmp_path.glob("*.svg"))
 
 
 @pytest.mark.parametrize("name, value", [("mu", "nan"), ("alpha", "inf"), ("alpha", "-inf")])

@@ -7,7 +7,6 @@ and the exact change of variables between the full and co-rotating forms.
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -412,13 +411,15 @@ def test_embedded_field_periodicity():
 
 
 def test_embedded_jacobians_match_finite_differences():
+    # the jvp along each unit direction, a column of the Jacobian
     f1 = embedded_field(PARAMS)
     rng = np.random.default_rng(26)
     x = rng.normal(size=12)
     z = np.array([0.4])
-    sigma, taus = 1.3, np.array([2.1])
-    jx = f1.jac_x(x, z, 0.0, sigma, taus)[0]
-    jz = f1.jac_z(x, z, 0.0, sigma, taus)[0]
+    sigma, taus = np.array([1.3]), np.array([2.1])
+    jx = np.array([f1.jvp(x, z, 0.0, sigma, taus, e[None], np.zeros((1, 1)))[0]
+                   for e in np.eye(12)]).T
+    jz = f1.jvp(x, z, 0.0, sigma, taus, np.zeros((1, 12)), np.ones((1, 1)))[0][:, None]
     h = 1e-6
     row = lambda y, zz: f1.func(y, zz, 0.0, sigma, taus)[0]
     for j in range(12):
@@ -431,9 +432,10 @@ def test_embedded_jacobians_match_finite_differences():
 
 
 def reference_embedded_pieces(z, sigma, taus, alpha):
-    """f, d f/dz, L, d L/dz on a tau grid: the four-piece form the callbacks replaced."""
-    th = math.sqrt(2.0) * alpha * sigma
-    c, s = math.cos(th), math.sin(th)
+    """f, d f/dz, L, d L/dz on a (sigma, tau) grid, or at one sigma: the four-piece
+    form the callbacks replaced."""
+    th = math.sqrt(2.0) * alpha * np.asarray(sigma)
+    c, s = np.cos(th), np.sin(th)
     phi = np.asarray(taus) - z
     cp, sp = np.cos(phi), np.sin(phi)
     c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
@@ -461,16 +463,17 @@ def _close(got, want):
 
 
 def test_embedded_frame_helpers_match_four_piece_reference():
+    # the z-derivatives, built inside the jvp, are checked through it in
+    # test_embedded_callbacks_match_four_piece_reference
     rng = np.random.default_rng(31)
     for i in range(200):
         alpha = float(rng.uniform(0.05, 2.0))
         z = float(rng.normal(0.0, 3.0))
         sigma = float(rng.uniform(-50.0, 50.0))
         taus = rng.uniform(-20.0, 20.0, int(rng.integers(1, 130)))
-        f, fz, lam, lamz = reference_embedded_pieces(z, sigma, taus, alpha)
+        f, _, lam, _ = reference_embedded_pieces(z, sigma, taus, alpha)
         got_f, got_lam = map(np.array, seek3d._frame_vectors(np, z, sigma, taus, alpha))
-        got_fz, got_lamz = seek3d._embedded_frame_dz(z, sigma, taus, alpha)
-        for got, want in ((got_f, f), (got_lam, lam), (got_fz, fz), (got_lamz, lamz)):
+        for got, want in ((got_f, f), (got_lam, lam)):
             assert got.shape == want.shape == (3, taus.size)
             assert _close(got, want), i
 
@@ -484,12 +487,15 @@ def test_embedded_callbacks_match_four_piece_reference():
         z = np.array([rng.normal(0.0, 3.0)])
         sigma = float(rng.uniform(-50.0, 50.0))
         taus = rng.uniform(-20.0, 20.0, 9)
+        sigmas = np.full(taus.size, sigma)
         f, fz, lam, lamz = reference_embedded_pieces(float(z[0]), sigma, taus, params.alpha)
         rows = reference_embedded_rows(x, f, lam)
         assert _close(f1.func(x, z, 0.0, sigma, taus), rows), i
         assert _close(f1.func(x, z, 0.0, sigma, float(taus[0])), rows[0]), i
-        assert _close(f1.jac_x(x, z, 0.0, sigma, taus) @ x, rows), i
-        assert _close(f1.jac_z(x, z, 0.0, sigma, taus)[:, :, 0],
+        # the field is linear in x, so its jvp along x is its value
+        no_z, no_x = np.zeros((taus.size, 1)), np.zeros((taus.size, 12))
+        assert _close(f1.jvp(x, z, 0.0, sigmas, taus, np.tile(x, (taus.size, 1)), no_z), rows), i
+        assert _close(f1.jvp(x, z, 0.0, sigmas, taus, no_x, np.ones((taus.size, 1))),
                       reference_embedded_rows(x, fz, lamz)), i
 
 
@@ -509,9 +515,11 @@ def test_embedded_rows_match_outer_product_reference():
             f, lam = rng.normal(size=(3, m)), rng.normal(size=(3, m))
         else:
             z, sigma = float(rng.normal(0.0, 3.0)), float(rng.uniform(-50.0, 50.0))
-            pieces = seek3d._embedded_frame_dz if i % 4 else partial(seek3d._frame_vectors, np)
-            f, lam = map(np.array, pieces(z, sigma, rng.uniform(-20.0, 20.0, m),
-                                          float(rng.uniform(0.05, 2.0))))
+            taus, alpha = rng.uniform(-20.0, 20.0, m), float(rng.uniform(0.05, 2.0))
+            if i % 4:  # the z-derivatives, which the jvp passes to _rigid_rates
+                _, f, _, lam = reference_embedded_pieces(z, sigma, taus, alpha)
+            else:
+                f, lam = map(np.array, seek3d._frame_vectors(np, z, sigma, taus, alpha))
         got = np.array(seek3d._rigid_rates(x[3:12], f, lam)).T
         assert got.shape == (m, 12)
         ref = reference_embedded_rows(x, f, lam)
@@ -526,7 +534,8 @@ def test_embedded_rows_match_outer_product_reference():
 def test_embedded_callbacks_match_column_oracle(kind):
     # the rows-layout callbacks against the column-layout kernels they
     # replaced, under the column <-> row permutation, with z on the slow
-    # manifold as the sweep and the averaging evaluate them
+    # manifold as the sweep and the averaging evaluate them; the jvps against
+    # the column-layout Jacobians are test_jvps_match_einsum_of_the_jacobians_they_replace
     field = signal_field(kind)
     rng = np.random.default_rng(34)
     for i in range(200):
@@ -549,17 +558,64 @@ def test_embedded_callbacks_match_column_oracle(kind):
             assert _close(np.array(reduced.func(state, t, sigma, tau)), want), i
 
         f, lam = map(np.array, seek3d._frame_vectors(np, z, sigma, taus, params.alpha))
-        fz, lamz = seek3d._embedded_frame_dz(z, sigma, taus, params.alpha)
         rows_c = columns.embedded_rows(xc, f, lam)
-        jac_x_c = columns.jac_x(f, lam)
-        jac_z_c = columns.embedded_rows(xc, fz, lamz)
-        dphi_c = np.concatenate([field.gradient(x[0:3], t), np.zeros(9)])
         assert _close(f1.func(x, [z], t, sigma, taus), columns.values_to_rows(rows_c)), i
-        assert _close(f1.jac_x(x, [z], t, sigma, taus), columns.jacobians_to_rows(jac_x_c)), i
-        assert _close(f1.jac_z(x, [z], t, sigma, taus)[:, :, 0],
-                      columns.values_to_rows(jac_z_c)), i
-        composed = jac_x_c + jac_z_c[:, :, None] * dphi_c
-        assert _close(reduced.jac(x, t, sigma, taus), columns.jacobians_to_rows(composed)), i
+
+
+@pytest.mark.parametrize(
+    "case", ["embedded-x", "embedded-z", "reduced-static", "reduced-orbit", "sincos", "zero"]
+)
+def test_jvps_match_einsum_of_the_jacobians_they_replace(case):
+    # each jvp against the einsum of the Jacobian stacks it replaced, on
+    # flattened (sigma, tau) grids with random directions: the embedded
+    # field's column-layout jac_x and jac_z (embedded_rows of the four-piece
+    # z-derivatives), composed with dphi for the reduced field as before;
+    # the sin/cos field's sin(tau) B1 + cos(tau) B2; zeros for zero_field
+    from recavg.runner.verify import _B1, _B2, sincos_test_system
+
+    rng = np.random.default_rng(35)
+    for i in range(100):
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        sigmas = np.repeat(rng.uniform(-50.0, 50.0, rows), n)
+        taus = np.tile(rng.uniform(-20.0, 20.0, n), rows)
+        t = float(rng.uniform(0.0, 200.0))
+        if case in ("sincos", "zero"):
+            dim = 2 if case == "sincos" else 3
+            x, v = rng.normal(size=dim), rng.normal(size=(taus.size, dim))
+            if case == "sincos":
+                got = sincos_test_system().f1.jvp(x, t, sigmas, taus, v)
+                jacs = np.sin(taus)[:, None, None] * _B1 + np.cos(taus)[:, None, None] * _B2
+            else:
+                got = avgcore.zero_field(dim, 2.0, 3.0).jvp(x, t, sigmas, taus, v)
+                jacs = np.zeros((taus.size, dim, dim))
+            want = np.einsum("mij,mj->mi", jacs, v)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), i
+            continue
+        params = SeekParams(alpha=float(rng.uniform(0.05, 2.0)), omega=1.0, mu=1.0)
+        field = signal_field("orbit" if case == "reduced-orbit" else "static")
+        x = embed_columns(rng.normal(0.0, 3.0, 3), rot_exp(rng.normal(size=3)))
+        z = field.strength(x[0:3], t)
+        f, fz, lam, lamz = reference_embedded_pieces(z, sigmas, taus, params.alpha)
+        jac_x_c = columns.jac_x(f, lam)
+        jac_z_c = columns.embedded_rows(x[columns.COLUMNS], fz, lamz)[:, :, None]
+        vx, vz = rng.normal(size=(taus.size, 12)), rng.normal(size=(taus.size, 1))
+        if case == "embedded-x":
+            got = embedded_field(params).jvp(x, [z], t, sigmas, taus, vx, 0.0 * vz)
+            jacs, v = jac_x_c, vx[:, columns.COLUMNS]
+        elif case == "embedded-z":
+            got = embedded_field(params).jvp(x, [z], t, sigmas, taus, 0.0 * vx, vz)
+            jacs, v = jac_z_c, vz
+        else:
+            reduced = avgcore.reduce_to_slow_manifold(
+                embedded_system(params, field, validate=False), validate=False
+            ).f1
+            got = reduced.jvp(x, t, sigmas, taus, vx)
+            dphi_c = np.concatenate([field.gradient(x[0:3], t), np.zeros(9)])
+            jacs, v = jac_x_c + jac_z_c * dphi_c, vx[:, columns.COLUMNS]
+        want = columns.values_to_rows(np.einsum("mij,mj->mi", jacs, v))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), i
 
 
 def test_embedded_float_kernel_matches_array_rows():
@@ -702,21 +758,33 @@ def test_trajectory_speed_invariants():
     assert np.abs(speeds - math.sqrt(2.0 * PARAMS.omega)).max() < 0.05
 
 
-@pytest.mark.parametrize("alpha, omega, mu", [
-    (0.125, 4.0 * math.pi, 1.0 / (16.0 * math.pi**2)),  # the tau-period binds
-    (8.0, 4.0 * math.pi, 1.0 / (16.0 * math.pi**2)),  # the roll-frame period T1 binds
-    (1.0, 400.0, 1e-4),  # mu binds
-])
+# (alpha, omega, mu) -> the one of oscillatory_step's three bounds that sets the step
+STEP_CASES = {
+    (0.125, 4.0 * math.pi, 0.01): "tau-period",
+    (8.0, 4.0 * math.pi, 1.0 / (16.0 * math.pi**2)): "sigma-period",
+    (1.0, 400.0, 1e-4): "mu",
+}
+
+
+@pytest.mark.parametrize("alpha, omega, mu", list(STEP_CASES))
 def test_seeker_steps_as_simulate_singular(alpha, omega, mu):
     # the full and transformed seekers take the step that simulate_singular
-    # takes for the embedded system of the same params
+    # takes for the embedded system of the same params, whichever bound sets it
+    binding = STEP_CASES[alpha, omega, mu]
     params = SeekParams(alpha=alpha, omega=omega, mu=mu)
     settings = IntegratorSettings(steps_per_period=64, projection=True)
+    bounds = {
+        "tau-period": params.tau_period / omega / settings.steps_per_period,
+        "sigma-period": params.sigma_period / math.sqrt(omega) / settings.steps_per_period,
+        "mu": mu,
+    }
+    assert min(bounds, key=bounds.get) == binding
     ssys = embedded_system(params, STATIC, validate=False)
     z0 = STATIC.strength(P0, 0.0)
     tf = 0.02
     want = avgcore.simulate_singular(ssys, embed_columns(P0, np.eye(3)), [z0], 0.0, tf, settings)
     step = avgcore.oscillatory_step(ssys.f1.T1, ssys.f1.T2, omega, mu, settings)
+    assert step == bounds[binding]
     assert len(want) == math.ceil(tf / step - 1e-12) + 1
     for run in (full_trajectory, transformed_trajectory):
         got = run(params, STATIC, P0, np.eye(3), z0, 0.0, tf, settings)
